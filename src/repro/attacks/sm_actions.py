@@ -3,8 +3,8 @@
 This is the classic single-fork action space of Sapirshtein et al. ("Optimal
 selfish mining strategies in Bitcoin"), registered as the ``"sm-actions"``
 scenario behind the same skeleton-cache and flat-buffer interface as the
-paper's multi-fork family, so every engine feature (warm starts, batched
-probes, shared-memory planes, the distributed fabric) applies to it unchanged.
+paper's multi-fork family, so every engine feature (warm starts,
+shared-memory planes, the distributed fabric) applies to it unchanged.
 
 State and actions
 -----------------

@@ -23,7 +23,6 @@ space, plus anything registered at runtime.  ``sweep`` additionally takes
 ``--grid SPEC``, interpreted by the selected scenario (``default``, ``paper``,
 or scenario-specific tokens such as ``d2f1l4`` / ``l8:overpaying``), and
 ``--variant`` to select a scenario variant for every grid configuration.
-``--max-depth`` is deprecated in favour of ``--grid max-depth=N``.
 
 The full flag-by-flag reference lives in ``docs/cli.md``.
 
@@ -40,24 +39,13 @@ identical CSV/plot pipeline -- bit-for-bit equal to a serial run.
 ``--heartbeat-seconds`` and ``--straggler-seconds`` tune failure detection and
 speculative reassignment.
 
-Solver selection and batched probes
------------------------------------
+Solver selection
+----------------
 
-``--solver`` picks the mean-payoff backend used inside Algorithm 1 and accepts
-both full names and short aliases: ``pi``/``policy_iteration`` (default,
-exact), ``vi``/``value_iteration`` (certified bounds),
-``lp``/``linear_program`` (independent cross-check) and ``portfolio`` (policy
-iteration raced against value iteration per probe; the first finisher wins and
-the winning backend is reported per sweep point in the CSV's
-``solver_backend`` column).
-
-``--batch-probes K`` switches the binary search to batched mode: every round
-stacks ``K`` evenly spaced beta probes against the shared model structure and
-solves them in one vectorised call, shrinking the interval by a factor of
-``K + 1`` per round instead of 2.  ``--batch-probes auto`` lets Algorithm 1
-pick ``K`` per round from the observed per-probe solve-cost curve instead of
-fixing it up front.  Either way the certified bounds match the sequential
-search's within ``--epsilon``.
+``--solver`` picks the mean-payoff backend that Algorithm 1 calls once per
+bisection probe and accepts both full names and short aliases:
+``pi``/``policy_iteration`` (default, exact), ``vi``/``value_iteration``
+(certified bounds) and ``lp``/``linear_program`` (independent cross-check).
 
 Sweep-only engine flags: ``--workers N`` fans grid points out over N worker
 processes, ``--warm-start-across-points`` chains solver warm starts along the
@@ -105,7 +93,6 @@ _SOLVER_CHOICES = (
     "policy_iteration",
     "value_iteration",
     "linear_program",
-    "portfolio",
     *SOLVER_ALIASES,
 )
 
@@ -186,18 +173,6 @@ def _attack_name(value: str) -> str:
     return value
 
 
-def _batch_probes(value: str):
-    """Parse ``--batch-probes``: a positive probe count or the string ``auto``."""
-    if value.strip().lower() == "auto":
-        return "auto"
-    try:
-        return _positive_int(value)
-    except (argparse.ArgumentTypeError, ValueError):
-        raise argparse.ArgumentTypeError(
-            f'must be a positive integer or "auto", got {value}'
-        ) from None
-
-
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--attack",
@@ -233,15 +208,7 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
         "--solver",
         choices=_SOLVER_CHOICES,
         default="policy_iteration",
-        help="mean-payoff solver backend (pi/vi/lp aliases; portfolio races pi vs vi)",
-    )
-    parser.add_argument(
-        "--batch-probes",
-        type=_batch_probes,
-        default=1,
-        metavar="K",
-        help="beta probes per binary-search round: a count (1 = classic bisection) "
-        "or 'auto' to adapt K per round to the observed solve-cost curve",
+        help="mean-payoff solver backend (pi/vi/lp aliases)",
     )
 
 
@@ -268,13 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="attack grid specification interpreted by the selected scenario "
         "('default', 'paper', or scenario tokens such as 'd1f1,d2f1l6' / 'l4,l8')",
-    )
-    sweep.add_argument(
-        "--max-depth",
-        type=int,
-        default=None,
-        help="deprecated: largest selfish-forks attack depth to include "
-        "(use --grid max-depth=N instead)",
     )
     sweep.add_argument("--csv", type=str, default=None, help="optional CSV output path")
     _add_solver_arguments(sweep)
@@ -463,7 +423,6 @@ def _command_analyze(args: argparse.Namespace) -> int:
         AnalysisConfig(
             epsilon=args.epsilon,
             solver=_resolve_solver(args.solver),
-            batch_probes=args.batch_probes,
         ),
     )
     result = analyzer.run()
@@ -478,34 +437,11 @@ def _command_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-_MAX_DEPTH_DEPRECATION_WARNED = False
-
-
 def _sweep_attack_configs(args: argparse.Namespace):
-    """Resolve the sweep's attack grid through the selected scenario's builder.
-
-    The legacy ``--max-depth N`` flag is a deprecation shim for
-    ``--grid max-depth=N`` (same ladder, built by the scenario's
-    ``grid_configs``); it warns once per process and cannot be combined with
-    an explicit ``--grid``.
-    """
+    """Resolve the sweep's attack grid through the selected scenario's builder."""
     from .attacks.registry import get_attack
 
-    global _MAX_DEPTH_DEPRECATION_WARNED
-    entry = get_attack(args.attack)
-    grid_spec = args.grid
-    if args.max_depth is not None:
-        if grid_spec is not None:
-            raise SystemExit("repro sweep: --max-depth and --grid are mutually exclusive")
-        if not _MAX_DEPTH_DEPRECATION_WARNED:
-            print(
-                "warning: --max-depth is deprecated; use --grid max-depth=N "
-                "(or explicit --grid tokens such as d1f1,d2f1)",
-                file=sys.stderr,
-            )
-            _MAX_DEPTH_DEPRECATION_WARNED = True
-        grid_spec = f"max-depth={args.max_depth}"
-    configs = entry.grid_configs(grid_spec or "default")
+    configs = get_attack(args.attack).grid_configs(args.grid or "default")
     if args.variant:
         configs = tuple(replace(attack, variant=args.variant) for attack in configs)
     return configs
@@ -525,7 +461,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         analysis=AnalysisConfig(
             epsilon=args.epsilon,
             solver=_resolve_solver(args.solver),
-            batch_probes=args.batch_probes,
         ),
         workers=args.workers,
         use_structure_cache=not args.no_structure_cache,
@@ -632,7 +567,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
         AnalysisConfig(
             epsilon=args.epsilon,
             solver=_resolve_solver(args.solver),
-            batch_probes=args.batch_probes,
         ),
     )
     result = analyzer.run()

@@ -7,30 +7,18 @@ linear-programming formulation), discounted value iteration, induced-Markov-chai
 stationary analysis and structural (graph) analysis.
 """
 
-from .cancellation import CancellationToken
 from .model import MDP, MDPBuilder, TransitionRow
 from .strategy import Strategy
 from .markov_chain import MarkovChain, induced_markov_chain
-from .value_iteration import (
-    RelativeValueIterationResult,
-    batched_relative_value_iteration,
-    relative_value_iteration,
-)
-from .policy_iteration import PolicyIterationResult, batched_policy_iteration, policy_iteration
+from .value_iteration import RelativeValueIterationResult, relative_value_iteration
+from .policy_iteration import PolicyIterationResult, policy_iteration
 from .linear_program import LinearProgramResult, solve_mean_payoff_lp
 from .discounted import DiscountedValueIterationResult, discounted_value_iteration
-from .mean_payoff import (
-    SOLVER_BACKENDS,
-    MeanPayoffSolution,
-    solve_mean_payoff,
-    solve_mean_payoff_batch,
-)
-from .portfolio import PORTFOLIO_BACKENDS, PortfolioHistory, SolverPortfolio
+from .mean_payoff import SOLVER_BACKENDS, MeanPayoffSolution, solve_mean_payoff
 from .reachability import end_components, is_unichain, reachable_states
 from .validation import validate_mdp
 
 __all__ = [
-    "CancellationToken",
     "MDP",
     "MDPBuilder",
     "TransitionRow",
@@ -38,10 +26,8 @@ __all__ = [
     "MarkovChain",
     "induced_markov_chain",
     "RelativeValueIterationResult",
-    "batched_relative_value_iteration",
     "relative_value_iteration",
     "PolicyIterationResult",
-    "batched_policy_iteration",
     "policy_iteration",
     "LinearProgramResult",
     "solve_mean_payoff_lp",
@@ -50,10 +36,6 @@ __all__ = [
     "SOLVER_BACKENDS",
     "MeanPayoffSolution",
     "solve_mean_payoff",
-    "solve_mean_payoff_batch",
-    "PORTFOLIO_BACKENDS",
-    "PortfolioHistory",
-    "SolverPortfolio",
     "end_components",
     "is_unichain",
     "reachable_states",

@@ -8,6 +8,7 @@ Both are computed with sparse linear algebra.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -18,6 +19,8 @@ import scipy.sparse.linalg as spla
 from ..exceptions import ModelError, SolverError
 from .model import MDP
 from .strategy import Strategy
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -124,9 +127,10 @@ class MarkovChain:
             solution = spla.spsolve(full, rhs)
             if not np.all(np.isfinite(solution)):
                 raise SolverError("singular Poisson system")
-        except Exception:
+        except Exception as exc:
             # Unichain models with transient structure can make the square system
             # ill-conditioned; fall back to a least-squares solve.
+            logger.debug("Poisson system of %d states: %s; falling back to lsqr", n, exc)
             try:
                 solution = spla.lsqr(full, rhs, atol=1e-12, btol=1e-12)[0]
             except Exception as exc:  # pragma: no cover - scipy failure path

@@ -4,37 +4,24 @@ Algorithm 1 only needs a single entry point that, given an MDP and reward
 weights, returns the optimal gain together with an optimal (or epsilon-optimal)
 strategy.  :func:`solve_mean_payoff` dispatches to the configured backend and
 normalises the result into a :class:`MeanPayoffSolution`.
-
-Two scaling extensions share this front-end:
-
-* :func:`solve_mean_payoff_batch` solves several reward weightings over the
-  *same* model in one call (the batched beta probes of Algorithm 1), hitting
-  the vectorised batched backends where they exist.
-* The ``"portfolio"`` backend races policy iteration against value iteration
-  per probe and returns the first finisher
-  (:class:`~repro.mdp.portfolio.SolverPortfolio`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import SolverError
-from .cancellation import CancellationToken
 from .linear_program import solve_mean_payoff_lp
 from .model import MDP
-from .policy_iteration import batched_policy_iteration, policy_iteration
+from .policy_iteration import policy_iteration
 from .strategy import Strategy
-from .value_iteration import batched_relative_value_iteration, relative_value_iteration
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .portfolio import PortfolioHistory
+from .value_iteration import relative_value_iteration
 
 #: Names of the available solver backends.
-SOLVER_BACKENDS = ("policy_iteration", "value_iteration", "linear_program", "portfolio")
+SOLVER_BACKENDS = ("policy_iteration", "value_iteration", "linear_program")
 
 
 @dataclass
@@ -49,9 +36,6 @@ class MeanPayoffSolution:
         bias: Bias vector associated with the solution.
         solver: Name of the backend that produced the result.
         iterations: Iterations used by the backend (0 for the LP).
-        cancelled_iterations: For portfolio solves, the iterations the losing
-            backends were cooperatively cancelled out of -- the solver work the
-            race avoided burning (0 outside portfolio runs).
     """
 
     gain: float
@@ -61,7 +45,6 @@ class MeanPayoffSolution:
     bias: np.ndarray
     solver: str
     iterations: int
-    cancelled_iterations: int = 0
 
 
 def solve_mean_payoff(
@@ -73,9 +56,6 @@ def solve_mean_payoff(
     max_iterations: int = 100_000,
     warm_start: Optional[Strategy] = None,
     warm_start_bias: Optional[np.ndarray] = None,
-    portfolio_deadline: float = 30.0,
-    portfolio_history: Optional["PortfolioHistory"] = None,
-    cancel_token: Optional[CancellationToken] = None,
 ) -> MeanPayoffSolution:
     """Compute the optimal mean payoff and an optimal strategy.
 
@@ -84,9 +64,7 @@ def solve_mean_payoff(
             holds for the paper's selfish-mining MDP).
         reward_weights: Weights combining the model's reward components.
         solver: One of ``"policy_iteration"`` (default; exact), ``"value_iteration"``
-            (certified bounds), ``"linear_program"`` (independent cross-check) or
-            ``"portfolio"`` (policy vs value iteration raced per probe; the
-            winner's name is recorded as ``"portfolio:<backend>"``).
+            (certified bounds) or ``"linear_program"`` (independent cross-check).
         tolerance: Numerical tolerance of the backend.
         max_iterations: Iteration budget of the backend.
         warm_start: Optional strategy to warm-start iterative backends with
@@ -96,37 +74,14 @@ def solve_mean_payoff(
             ignored when its shape does not match ``mdp.num_states`` so that
             callers can pass vectors carried across structurally different
             models without checking.
-        portfolio_deadline: Seconds the ``"portfolio"`` backend waits for the
-            first finisher before blocking unconditionally; ignored otherwise.
-        portfolio_history: Optional :class:`~repro.mdp.portfolio.
-            PortfolioHistory` seeding the ``"portfolio"`` race from recent
-            winners (the dominant backend launches first, rivals are delayed
-            or skipped); ignored by the other backends.
-        cancel_token: Optional cooperative stop signal polled at iteration
-            boundaries by the iterative backends (the portfolio additionally
-            creates per-backend tokens internally, linked to this one, to stop
-            race losers).
 
     Raises:
         SolverError: If ``solver`` is not a known backend.
-        SolverCancelled: If ``cancel_token`` was cancelled before completion.
     """
     if warm_start_bias is not None:
         warm_start_bias = np.asarray(warm_start_bias, dtype=float)
         if warm_start_bias.shape != (mdp.num_states,):
             warm_start_bias = None
-    if solver == "portfolio":
-        from .portfolio import SolverPortfolio  # local import: avoids a cycle
-
-        return SolverPortfolio(deadline=portfolio_deadline, history=portfolio_history).solve(
-            mdp,
-            reward_weights,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            warm_start=warm_start,
-            warm_start_bias=warm_start_bias,
-            cancel_token=cancel_token,
-        )
     if solver == "policy_iteration":
         result = policy_iteration(
             mdp,
@@ -134,7 +89,6 @@ def solve_mean_payoff(
             tolerance=tolerance,
             max_iterations=max(100, min(max_iterations, 10_000)),
             initial_strategy=warm_start,
-            cancel_token=cancel_token,
         )
         return MeanPayoffSolution(
             gain=result.gain,
@@ -152,7 +106,6 @@ def solve_mean_payoff(
             tolerance=tolerance,
             max_iterations=max_iterations,
             initial_bias=warm_start_bias,
-            cancel_token=cancel_token,
         )
         return MeanPayoffSolution(
             gain=result.gain,
@@ -187,134 +140,3 @@ def solve_mean_payoff(
         )
     raise SolverError(f"unknown mean-payoff solver {solver!r}; choose from {SOLVER_BACKENDS}")
 
-
-def solve_mean_payoff_batch(
-    mdp: MDP,
-    weight_matrix: np.ndarray,
-    *,
-    solver: str = "policy_iteration",
-    tolerance: float = 1e-9,
-    max_iterations: int = 100_000,
-    warm_start: Optional[Strategy] = None,
-    warm_start_bias: Optional[np.ndarray] = None,
-    portfolio_deadline: float = 30.0,
-    portfolio_history: Optional["PortfolioHistory"] = None,
-    cancel_token: Optional[CancellationToken] = None,
-) -> List[MeanPayoffSolution]:
-    """Solve several reward weightings of the *same* model in one call.
-
-    This is the batched entry point behind Algorithm 1's ``batch_probes`` mode:
-    ``k`` reward vectors (one per row of ``weight_matrix``) are stacked against
-    one shared transition structure and dispatched to the vectorised batched
-    backend -- a single joint value-iteration run, a reward-assembly-sharing
-    policy-iteration chain, or a portfolio race between the two.  The
-    ``"linear_program"`` backend has no batched formulation and falls back to
-    sequential solves.
-
-    Args:
-        mdp: The model to solve.
-        weight_matrix: Reward-weight matrix of shape ``(k, num_reward_components)``.
-        solver: Backend name, as for :func:`solve_mean_payoff`.
-        tolerance: Numerical tolerance of the backend.
-        max_iterations: Iteration budget of the backend (per column for value
-            iteration, per probe for policy iteration).
-        warm_start: Optional strategy seeding the first probe (policy iteration
-            chains subsequent probes from their predecessor's optimum).
-        warm_start_bias: Optional bias warm start for value iteration: either
-            one vector of shape ``(num_states,)`` broadcast to every column, or
-            a per-column matrix of shape ``(num_states, k)``; silently ignored
-            on shape mismatch.
-        portfolio_deadline: Deadline of the ``"portfolio"`` race; ignored otherwise.
-        portfolio_history: Optional race history seeding the ``"portfolio"``
-            backend, as for :func:`solve_mean_payoff`; ignored otherwise.
-        cancel_token: Optional cooperative stop signal polled at iteration
-            boundaries by the iterative backends.
-
-    Returns:
-        One :class:`MeanPayoffSolution` per row of ``weight_matrix``, in order.
-
-    Raises:
-        SolverError: If ``solver`` is not a known backend.
-        SolverCancelled: If ``cancel_token`` was cancelled before completion.
-    """
-    weight_matrix = np.asarray(weight_matrix, dtype=float)
-    if weight_matrix.ndim != 2 or weight_matrix.shape[1] != mdp.num_reward_components:
-        raise SolverError(
-            f"weight_matrix must have shape (k, {mdp.num_reward_components}), "
-            f"got {weight_matrix.shape}"
-        )
-    num_probes = weight_matrix.shape[0]
-    if num_probes == 0:
-        return []
-    if warm_start_bias is not None:
-        warm_start_bias = np.asarray(warm_start_bias, dtype=float)
-        if warm_start_bias.shape not in ((mdp.num_states,), (mdp.num_states, num_probes)):
-            warm_start_bias = None
-    if solver == "portfolio":
-        from .portfolio import SolverPortfolio  # local import: avoids a cycle
-
-        return SolverPortfolio(deadline=portfolio_deadline, history=portfolio_history).solve_batch(
-            mdp,
-            weight_matrix,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            warm_start=warm_start,
-            warm_start_bias=warm_start_bias,
-            cancel_token=cancel_token,
-        )
-    if solver == "policy_iteration":
-        results = batched_policy_iteration(
-            mdp,
-            weight_matrix,
-            tolerance=tolerance,
-            max_iterations=max(100, min(max_iterations, 10_000)),
-            initial_strategy=warm_start,
-            cancel_token=cancel_token,
-        )
-        return [
-            MeanPayoffSolution(
-                gain=result.gain,
-                lower_bound=result.gain - tolerance,
-                upper_bound=result.gain + tolerance,
-                strategy=result.strategy,
-                bias=result.bias,
-                solver=solver,
-                iterations=result.iterations,
-            )
-            for result in results
-        ]
-    if solver == "value_iteration":
-        results = batched_relative_value_iteration(
-            mdp,
-            weight_matrix,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            initial_bias=warm_start_bias,
-            cancel_token=cancel_token,
-        )
-        return [
-            MeanPayoffSolution(
-                gain=result.gain,
-                lower_bound=result.lower_bound,
-                upper_bound=result.upper_bound,
-                strategy=result.strategy,
-                bias=result.bias,
-                solver=solver,
-                iterations=result.iterations,
-            )
-            for result in results
-        ]
-    if solver == "linear_program":
-        return [
-            solve_mean_payoff(
-                mdp,
-                weight_matrix[j],
-                solver=solver,
-                tolerance=tolerance,
-                max_iterations=max_iterations,
-                warm_start=warm_start,
-                warm_start_bias=warm_start_bias,
-            )
-            for j in range(weight_matrix.shape[0])
-        ]
-    raise SolverError(f"unknown mean-payoff solver {solver!r}; choose from {SOLVER_BACKENDS}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -12,64 +14,7 @@ from repro.analysis import (
     evaluate_strategy_errev,
     formal_analysis,
 )
-
-
-class TestBatchedBisection:
-    """Batched probes must reproduce the sequential search's certified bounds."""
-
-    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration"])
-    @pytest.mark.parametrize("batch_probes", [2, 3, 7])
-    def test_matches_sequential_within_epsilon(
-        self, model_d2f1, analysis_d2f1, solver, batch_probes
-    ):
-        batched = formal_analysis(
-            model_d2f1.mdp,
-            AnalysisConfig(epsilon=1e-3, solver=solver, batch_probes=batch_probes),
-        )
-        assert batched.interval_width < 1e-3
-        assert batched.errev_lower_bound == pytest.approx(
-            analysis_d2f1.errev_lower_bound, abs=1e-3
-        )
-        assert batched.beta_up == pytest.approx(analysis_d2f1.beta_up, abs=1e-3)
-        # The certified intervals of both searches must overlap: each brackets ERRev*.
-        assert batched.beta_low <= analysis_d2f1.beta_up + 1e-12
-        assert batched.beta_up >= analysis_d2f1.beta_low - 1e-12
-
-    def test_fewer_rounds_than_sequential(self, model_d2f1, analysis_d2f1):
-        batched = formal_analysis(
-            model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, batch_probes=7)
-        )
-        # 7 probes shrink the interval 8x per round: ceil(log_8(1000)) = 4 rounds
-        # instead of 10 sequential halvings.
-        rounds = batched.num_iterations // 7
-        assert rounds < analysis_d2f1.num_iterations
-        assert batched.num_iterations % 7 == 0
-
-    def test_portfolio_batched(self, model_d2f1, analysis_d2f1):
-        batched = formal_analysis(
-            model_d2f1.mdp,
-            AnalysisConfig(epsilon=1e-3, solver="portfolio", batch_probes=3),
-        )
-        assert batched.errev_lower_bound == pytest.approx(
-            analysis_d2f1.errev_lower_bound, abs=1e-3
-        )
-        assert batched.backend_wins
-        assert batched.winning_solver in ("policy_iteration", "value_iteration")
-
-    def test_strategy_achieves_lower_bound(self, model_d2f1):
-        batched = formal_analysis(
-            model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, batch_probes=4)
-        )
-        achieved = evaluate_strategy_errev(model_d2f1.mdp, batched.strategy)
-        assert achieved >= batched.errev_lower_bound - 1e-9
-
-    def test_iteration_log_has_per_probe_entries(self, model_d2f1):
-        batched = formal_analysis(
-            model_d2f1.mdp, AnalysisConfig(epsilon=1e-2, batch_probes=3)
-        )
-        for record in batched.iterations:
-            assert record.solver_iterations > 0
-            assert record.beta_low <= record.beta_up
+from repro.mdp import SOLVER_BACKENDS
 
 
 class TestInitialBiasValidation:
@@ -109,6 +54,27 @@ class TestInitialBiasValidation:
             initial_bias=bad,
         )
         assert result.interval_width < 1e-2
+
+    def test_dropped_bias_logged_at_debug(self, model_d2f1, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            formal_analysis(
+                model_d2f1.mdp, AnalysisConfig(epsilon=1e-2), initial_bias=[1.0, 2.0, 3.0]
+            )
+        records = [r for r in caplog.records if r.name == "repro.analysis.algorithm1"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert "warm-start bias" in records[0].getMessage()
+
+    def test_dropped_strategy_rows_logged_at_debug(self, model_d2f1, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            result = formal_analysis(
+                model_d2f1.mdp, AnalysisConfig(epsilon=1e-2), initial_strategy_rows=[0, 1]
+            )
+        assert result.interval_width < 1e-2
+        records = [r for r in caplog.records if r.name == "repro.analysis.algorithm1"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert "warm-start strategy" in records[0].getMessage()
 
     def test_valid_bias_still_honoured(self, model_d2f1):
         config = AnalysisConfig(epsilon=1e-3, solver="value_iteration")
@@ -179,6 +145,85 @@ class TestAlgorithm1:
 
     def test_exceeds_honest_mining_for_d2(self, analysis_d2f1):
         assert analysis_d2f1.strategy_errev > 0.3 + 0.05
+
+
+@pytest.fixture(scope="module")
+def reference_errev(model_d2f1):
+    """ERRev of the d2f1 strategy certified at a far finer precision (PI)."""
+    return formal_analysis(model_d2f1.mdp, AnalysisConfig(epsilon=1e-6)).strategy_errev
+
+
+@pytest.mark.parametrize("solver", SOLVER_BACKENDS)
+class TestBisectionPerBackend:
+    """Algorithm 1 is one bisection with one solve per probe, for every backend."""
+
+    def test_interval_width_below_epsilon(self, model_d2f1, solver):
+        result = formal_analysis(model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, solver=solver))
+        assert result.interval_width < 1e-3
+        assert result.solver == solver
+
+    def test_interval_brackets_reference_errev(self, model_d2f1, reference_errev, solver):
+        result = formal_analysis(model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, solver=solver))
+        assert result.beta_low <= reference_errev + 1e-6
+        assert reference_errev <= result.beta_up + 1e-9
+
+    def test_tightened_start_interval_keeps_the_bracket(
+        self, model_d2f1, reference_errev, solver
+    ):
+        # ERRev* >= p, so a caller may start the search at beta_low = p.
+        result = formal_analysis(
+            model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, solver=solver), beta_low=0.3
+        )
+        assert result.interval_width < 1e-3
+        assert result.beta_low <= reference_errev + 1e-6 <= result.beta_up + 1e-6
+
+    def test_number_of_probes_matches_precision(self, model_d2f1, solver):
+        # Width 1 halves to 2^-6 < epsilon = 2^-5 after exactly 6 probes.
+        result = formal_analysis(model_d2f1.mdp, AnalysisConfig(epsilon=2**-5, solver=solver))
+        assert result.num_iterations == 6
+
+    def test_each_probe_bisects_and_its_sign_picks_the_half(self, model_d2f1, solver):
+        result = formal_analysis(model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, solver=solver))
+        low, up = 0.0, 1.0
+        for record in result.iterations:
+            assert record.beta == 0.5 * (low + up)
+            if record.optimal_mean_payoff < 0.0:
+                up = record.beta
+            else:
+                low = record.beta
+            assert (record.beta_low, record.beta_up) == (low, up)
+        assert (result.beta_low, result.beta_up) == (low, up)
+
+    def test_strategy_certifies_lower_bound(self, model_d2f1, solver):
+        result = formal_analysis(model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, solver=solver))
+        achieved = evaluate_strategy_errev(model_d2f1.mdp, result.strategy)
+        assert achieved == pytest.approx(result.strategy_errev, abs=1e-12)
+        assert achieved >= result.errev_lower_bound - 1e-9
+
+    def test_repeated_runs_are_bit_identical(self, model_d1f1, solver):
+        config = AnalysisConfig(epsilon=1e-3, solver=solver)
+        first = formal_analysis(model_d1f1.mdp, config)
+        second = formal_analysis(model_d1f1.mdp, config)
+        assert (first.beta_low, first.beta_up) == (second.beta_low, second.beta_up)
+        assert first.strategy_errev == second.strategy_errev
+        assert list(first.strategy.rows) == list(second.strategy.rows)
+        assert [r.optimal_mean_payoff for r in first.iterations] == [
+            r.optimal_mean_payoff for r in second.iterations
+        ]
+
+    def test_cold_and_warm_start_certify_the_same_interval(self, model_d2f1, solver):
+        warm = formal_analysis(model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, solver=solver))
+        cold = formal_analysis(
+            model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, solver=solver, warm_start=False)
+        )
+        assert (warm.beta_low, warm.beta_up) == (cold.beta_low, cold.beta_up)
+
+    def test_solver_iterations_are_accounted(self, model_d2f1, solver):
+        result = formal_analysis(model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, solver=solver))
+        per_probe = sum(record.solver_iterations for record in result.iterations)
+        assert result.total_solver_iterations >= per_probe
+        assert result.final_bias is not None
+        assert result.final_bias.shape == (model_d2f1.mdp.num_states,)
 
 
 class TestDinkelbach:

@@ -48,7 +48,11 @@ class SweepCancelled(Exception):
 # ------------------------------------------------------------------- the grid
 
 
-def base_grid(**overrides) -> dict:
+#: Mean-payoff backends the bit-for-bit and resume invariants are checked under.
+SOLVERS = ("policy_iteration", "value_iteration", "linear_program")
+
+
+def base_grid(solver: str = "policy_iteration", **overrides) -> dict:
     """The tiny conformance grid: 2 p-values x 1 gamma x 2 attack series."""
     grid = dict(
         p_values=(0.0, 0.1),
@@ -57,7 +61,7 @@ def base_grid(**overrides) -> dict:
             AttackParams(depth=1, forks=1, max_fork_length=4),
             AttackParams(depth=2, forks=1, max_fork_length=4),
         ),
-        analysis=AnalysisConfig(epsilon=1e-2),
+        analysis=AnalysisConfig(epsilon=1e-2, solver=solver),
     )
     grid.update(overrides)
     return grid
@@ -76,9 +80,9 @@ def failing_grid() -> dict:
 
 
 @lru_cache(maxsize=None)
-def serial_reference(chained: bool = False) -> SweepResult:
+def serial_reference(chained: bool = False, solver: str = "policy_iteration") -> SweepResult:
     """The uninterrupted serial run every backend must reproduce bit-for-bit."""
-    grid = base_grid(reuse_p_axis_bounds=True) if chained else base_grid()
+    grid = base_grid(solver, reuse_p_axis_bounds=True) if chained else base_grid(solver)
     return run_sweep(SweepConfig(**grid, workers=1))
 
 

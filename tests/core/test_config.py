@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import AnalysisConfig, AttackParams, ProtocolParams
@@ -101,9 +103,10 @@ class TestAnalysisConfig:
         with pytest.raises(ConfigurationError):
             AnalysisConfig(epsilon=0.0)
 
-    def test_invalid_solver_rejected(self):
+    @pytest.mark.parametrize("solver", ["storm", "portfolio"])
+    def test_invalid_solver_rejected(self, solver):
         with pytest.raises(ValueError):
-            AnalysisConfig(solver="storm")
+            AnalysisConfig(solver=solver)
 
     def test_invalid_iteration_budget_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -120,25 +123,26 @@ class TestAnalysisConfig:
             "max_solver_iterations",
             "evaluate_strategy",
             "warm_start",
-            "batch_probes",
-            "portfolio_deadline",
         }
 
     def test_negative_epsilon_message_names_parameter(self):
         with pytest.raises(ConfigurationError, match="epsilon"):
             AnalysisConfig(epsilon=-1e-3)
 
-    def test_portfolio_solver_accepted(self):
-        assert AnalysisConfig(solver="portfolio").solver == "portfolio"
+    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration", "linear_program"])
+    def test_valid_solver_round_trips_through_to_dict(self, solver):
+        config = AnalysisConfig(epsilon=1e-2, solver=solver, warm_start=False)
+        assert AnalysisConfig(**config.to_dict()) == config
 
-    @pytest.mark.parametrize("batch_probes", [0, -1, 1.5])
-    def test_invalid_batch_probes_rejected(self, batch_probes):
-        with pytest.raises(ConfigurationError, match="batch_probes"):
-            AnalysisConfig(batch_probes=batch_probes)
-
-    def test_invalid_portfolio_deadline_rejected(self):
-        with pytest.raises(ConfigurationError, match="portfolio_deadline"):
-            AnalysisConfig(portfolio_deadline=0.0)
+    def test_settable_fields(self):
+        assert [field.name for field in dataclasses.fields(AnalysisConfig)] == [
+            "epsilon",
+            "solver",
+            "solver_tolerance",
+            "max_solver_iterations",
+            "evaluate_strategy",
+            "warm_start",
+        ]
 
 
 class TestSweepConfigValidation:

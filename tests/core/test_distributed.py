@@ -102,7 +102,7 @@ def test_task_wire_roundtrip():
         p_values=(0.0, 0.1),
         gammas=(0.25,),
         attack_configs=(AttackParams(depth=2, forks=1),),
-        analysis=AnalysisConfig(epsilon=1e-2, solver="value_iteration", batch_probes=3),
+        analysis=AnalysisConfig(epsilon=1e-2, solver="value_iteration"),
         reuse_p_axis_bounds=True,
     )
     for task in _build_tasks(config):
@@ -125,8 +125,7 @@ def test_outcome_wire_roundtrip_preserves_floats_exactly():
         num_states=148,
         beta_low=0.3386230468750001,
         beta_up=0.33935546875,
-        solver_backend="policy_iteration",
-        cancelled_iterations=None,
+        scenario="selfish-forks@1",
     )
     restored = outcome_from_wire(outcome_to_wire(outcome))
     assert restored == outcome

@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 from execution_conformance import (
     CONTRACTS,
+    SOLVERS,
     assert_bit_for_bit,
     base_grid,
     failing_grid,
@@ -36,12 +37,13 @@ def start_method(request, kind, monkeypatch):
 
 
 class TestBitForBit:
-    def test_matches_serial_reference(self, kind, start_method):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_matches_serial_reference(self, kind, start_method, solver):
         """Certified bounds and CSV value columns agree with serial exactly."""
         contract = CONTRACTS[kind]
-        result = contract.execute(base_grid())
+        result = contract.execute(base_grid(solver))
         assert not result.failures
-        assert_bit_for_bit(serial_reference(), result)
+        assert_bit_for_bit(serial_reference(solver=solver), result)
         assert result.description
 
     def test_chained_series_match_reference(self, kind, start_method):
@@ -63,22 +65,24 @@ class TestWorkerBuilds:
 
 
 class TestJournalResume:
-    def test_resume_recomputes_nothing_after_a_complete_run(self, kind, tmp_path):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_resume_recomputes_nothing_after_a_complete_run(self, kind, tmp_path, solver):
         """A resumed complete journal replays every point and records none."""
         contract = CONTRACTS[kind]
         journal_path = tmp_path / "sweep.journal"
-        first = contract.execute(base_grid(), journal_path=journal_path)
+        first = contract.execute(base_grid(solver), journal_path=journal_path)
         assert not first.failures
         first_meta = first.metadata["journal"]
         assert first_meta["recorded"] > 0 and first_meta["replayed"] == 0
 
-        resumed = contract.execute(base_grid(), journal_path=journal_path, resume=True)
+        resumed = contract.execute(base_grid(solver), journal_path=journal_path, resume=True)
         assert not resumed.failures
         meta = resumed.metadata["journal"]
         assert meta["recorded"] == 0, "a complete journal must leave no delta"
         assert meta["replayed"] == first_meta["recorded"]
         assert meta["skipped_units"] > 0
         assert_bit_for_bit(first, resumed)
+        assert_bit_for_bit(serial_reference(solver=solver), resumed)
 
 
 class TestFailureIsolation:

@@ -186,6 +186,20 @@ def test_resume_refuses_foreign_fingerprint(tmp_path):
         run_sweep(SweepConfig(**other, journal_path=str(path), journal_resume=True))
 
 
+def test_resume_refuses_fingerprint_with_extra_analysis_keys(tmp_path):
+    # A journal whose analysis settings carry keys this AnalysisConfig no
+    # longer has (e.g. a removed solver option) pins a different sweep.
+    path = tmp_path / "sweep.journal"
+    config = SweepConfig(**_grid())
+    fingerprint = journal_fingerprint(config)
+    fingerprint["analysis"] = dict(
+        fingerprint["analysis"], batch_probes=1, portfolio_deadline=30.0
+    )
+    path.write_bytes(encode_record({"kind": "meta", "fingerprint": fingerprint}))
+    with pytest.raises(ModelError, match="different sweep"):
+        run_sweep(SweepConfig(**_grid(), journal_path=str(path), journal_resume=True))
+
+
 def test_errored_records_are_recomputed_on_resume(tmp_path):
     path = tmp_path / "sweep.journal"
     grid = _grid()

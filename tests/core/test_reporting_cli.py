@@ -6,7 +6,9 @@ import csv
 
 import pytest
 
+from repro.analysis import formal_analysis
 from repro.cli import main
+from repro.core import analyzer as analyzer_module
 from repro.core.reporting import ascii_plot, render_table, write_csv
 from repro.core.results import SweepPoint, SweepResult
 from repro.exceptions import ConfigurationError
@@ -174,8 +176,8 @@ class TestCli:
                 "0.1",
                 "--epsilon",
                 "0.02",
-                "--max-depth",
-                "1",
+                "--grid",
+                "max-depth=1",
                 "--csv",
                 str(out_csv),
             ]
@@ -218,7 +220,7 @@ class TestCli:
         with pytest.raises(ConfigurationError):
             main(["analyze", "--p", "1.5", "--epsilon", "0.01"])
 
-    def test_analyze_with_solver_alias_and_batched_probes(self, capsys):
+    def test_analyze_with_solver_alias(self, capsys):
         exit_code = main(
             [
                 "analyze",
@@ -230,16 +232,38 @@ class TestCli:
                 "0.01",
                 "--solver",
                 "vi",
-                "--batch-probes",
-                "3",
             ]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "ERRev lower bound" in captured.out
 
-    def test_sweep_with_portfolio_and_reuse_records_backend(self, tmp_path, capsys):
-        out_csv = tmp_path / "portfolio.csv"
+    @pytest.mark.parametrize(
+        "name, backend",
+        [
+            ("policy_iteration", "policy_iteration"),
+            ("value_iteration", "value_iteration"),
+            ("linear_program", "linear_program"),
+            ("pi", "policy_iteration"),
+            ("vi", "value_iteration"),
+            ("lp", "linear_program"),
+        ],
+    )
+    def test_solver_flag_selects_backend(self, name, backend, monkeypatch, capsys):
+        seen = []
+
+        def recording_analysis(mdp, config=None, **kwargs):
+            seen.append(config.solver)
+            return formal_analysis(mdp, config, **kwargs)
+
+        monkeypatch.setattr(analyzer_module, "formal_analysis", recording_analysis)
+        argv = ["analyze", "--p", "0.2", "--depth", "1", "--epsilon", "0.05", "--solver", name]
+        assert main(argv) == 0
+        assert seen == [backend]
+        assert "ERRev lower bound" in capsys.readouterr().out
+
+    def test_sweep_with_value_iteration_and_reuse_certifies(self, tmp_path, capsys):
+        out_csv = tmp_path / "vi.csv"
         exit_code = main(
             [
                 "sweep",
@@ -251,12 +275,10 @@ class TestCli:
                 "0.1",
                 "--epsilon",
                 "0.02",
-                "--max-depth",
-                "1",
+                "--grid",
+                "max-depth=1",
                 "--solver",
-                "portfolio",
-                "--batch-probes",
-                "2",
+                "vi",
                 "--reuse-p-bounds",
                 "--csv",
                 str(out_csv),
@@ -268,29 +290,7 @@ class TestCli:
             rows = list(csv.DictReader(handle))
         attack_rows = [row for row in rows if row["series"].startswith("ours")]
         assert attack_rows
-        assert all(
-            row["solver_backend"] in ("policy_iteration", "value_iteration")
-            for row in attack_rows
-        )
         assert all(float(row["beta_up"]) - float(row["beta_low"]) < 0.02 for row in attack_rows)
-
-    def test_analyze_with_auto_batch_probes(self, capsys):
-        exit_code = main(
-            [
-                "analyze",
-                "--p",
-                "0.3",
-                "--depth",
-                "1",
-                "--epsilon",
-                "0.01",
-                "--batch-probes",
-                "auto",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "ERRev lower bound" in captured.out
 
     def test_attacks_command_lists_scenarios(self, capsys):
         assert main(["attacks"]) == 0
@@ -334,30 +334,9 @@ class TestCli:
         assert attack_rows
         assert all(row["scenario"] == "sm-actions@1" for row in attack_rows)
 
-    def test_max_depth_shim_warns_once_and_matches_grid_spec(self, capsys, monkeypatch):
-        import repro.cli as cli_module
-
-        monkeypatch.setattr(cli_module, "_MAX_DEPTH_DEPRECATION_WARNED", False)
-        argv = ["sweep", "--p-max", "0.1", "--p-step", "0.1", "--epsilon", "0.02"]
-        assert main([*argv, "--max-depth", "1"]) == 0
-        first = capsys.readouterr().err
-        assert first.count("--max-depth is deprecated") == 1
-        assert main([*argv, "--max-depth", "1"]) == 0
-        assert "--max-depth is deprecated" not in capsys.readouterr().err
-
-    def test_max_depth_conflicts_with_grid(self):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["sweep", "--max-depth", "1", "--grid", "default"])
-
     def test_unknown_attack_rejected(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--attack", "no-such-attack"])
-
-    def test_help_documents_auto_batch_probes(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--help"])
-        assert excinfo.value.code == 0
-        assert "'auto'" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
@@ -365,8 +344,6 @@ class TestCli:
             ["sweep", "--epsilon", "-1"],
             ["sweep", "--workers", "0"],
             ["analyze", "--epsilon", "0"],
-            ["analyze", "--batch-probes", "0"],
-            ["analyze", "--batch-probes", "adaptive"],
         ],
     )
     def test_invalid_numeric_flags_rejected_cleanly(self, argv, capsys):
@@ -374,3 +351,17 @@ class TestCli:
             main(argv)
         assert excinfo.value.code == 2
         assert "must be a positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--solver", "portfolio"],
+            ["analyze", "--batch-probes", "3"],
+            ["sweep", "--max-depth", "1"],
+        ],
+    )
+    def test_removed_solver_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        capsys.readouterr()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import logging
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -72,6 +75,21 @@ class TestMarkovChain:
         chain = two_state_chain(p_stay=0.25)
         _, bias = chain.gain_and_bias([1.0], reference_state=1)
         assert bias[1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_lsqr_fallback_logged_at_debug(self, caplog):
+        # Two absorbing states: the bordered Poisson system is singular, so the
+        # direct solve fails and the least-squares fallback takes over.
+        chain = MarkovChain(
+            transition_matrix=sp.csr_matrix(np.eye(2)), expected_rewards=np.ones((2, 1))
+        )
+        with caplog.at_level(logging.DEBUG, logger="repro"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            gain, _ = chain.gain_and_bias([1.0])
+        assert gain == pytest.approx(1.0)
+        records = [r for r in caplog.records if r.name == "repro.mdp.markov_chain"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert "lsqr" in records[0].getMessage()
 
     def test_occupancy_ratio(self):
         chain = two_state_chain(rewards=((1.0, 0.0), (0.0, 1.0)))

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.rewards import beta_reward_weights
 from repro.exceptions import ConvergenceError, SolverError
 from repro.mdp import (
-    PORTFOLIO_BACKENDS,
+    SOLVER_BACKENDS,
     MDPBuilder,
-    SolverPortfolio,
     discounted_value_iteration,
+    induced_markov_chain,
     policy_iteration,
     relative_value_iteration,
     solve_mean_payoff,
-    solve_mean_payoff_batch,
     solve_mean_payoff_lp,
 )
 
@@ -56,6 +56,27 @@ def stochastic_mdp():
     builder.add_action("a", "risky", [("b", 1.0, (0.0,))])
     builder.add_action("b", "return", [("a", 1.0, (3.0,))])
     return builder.build(initial_state="a")
+
+
+def race_mdp():
+    """A two-component ``(r_A, r_H)`` model with a known optimal ERRev of 2/3.
+
+    In state "s": "honest" loops with rewards (0.3, 0.7) -- relative revenue
+    0.3; "withhold" moves to "t" (no blocks) from which "publish" returns with
+    rewards (1.0, 0.5) -- relative revenue 2/3.  Under ``r_beta`` the optimal
+    gain is ``max(0.3 - beta, (1 - 1.5 * beta) / 2)``, which crosses zero at
+    ``beta = 2/3``, the optimal ERRev (Theorem 3.1).
+    """
+    builder = MDPBuilder(num_reward_components=2)
+    builder.add_action("s", "honest", [("s", 1.0, (0.3, 0.7))])
+    builder.add_action("s", "withhold", [("t", 1.0, (0.0, 0.0))])
+    builder.add_action("t", "publish", [("s", 1.0, (1.0, 0.5))])
+    return builder.build(initial_state="s")
+
+
+def race_gain(beta: float) -> float:
+    """Closed-form optimal gain of :func:`race_mdp` under ``r_beta``."""
+    return max(0.3 - beta, (1.0 - 1.5 * beta) / 2.0)
 
 
 ALL_TEST_MDPS = [
@@ -168,11 +189,21 @@ class TestDiscountedValueIteration:
 
 
 class TestSolveMeanPayoffFrontend:
-    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration", "linear_program"])
-    def test_backends_agree(self, solver):
-        solution = solve_mean_payoff(stochastic_mdp(), [1.0], solver=solver)
-        assert solution.gain == pytest.approx(1.5, abs=1e-6)
+    @pytest.mark.parametrize("solver", SOLVER_BACKENDS)
+    @pytest.mark.parametrize("mdp, expected", ALL_TEST_MDPS)
+    def test_backends_agree(self, mdp, expected, solver):
+        solution = solve_mean_payoff(mdp, [1.0], solver=solver)
+        assert solution.gain == pytest.approx(expected, abs=1e-6)
+        assert solution.lower_bound <= solution.gain <= solution.upper_bound
         assert solution.solver == solver
+
+    @pytest.mark.parametrize("solver", SOLVER_BACKENDS)
+    @pytest.mark.parametrize("mdp, expected", ALL_TEST_MDPS)
+    def test_strategy_achieves_reported_gain(self, mdp, expected, solver):
+        """The returned strategy, fixed in the MDP, earns the reported gain."""
+        solution = solve_mean_payoff(mdp, [1.0], solver=solver)
+        achieved, _ = induced_markov_chain(mdp, solution.strategy).gain_and_bias([1.0])
+        assert achieved == pytest.approx(solution.gain, abs=1e-6)
 
     def test_unknown_backend_raises(self):
         with pytest.raises(SolverError):
@@ -189,94 +220,47 @@ class TestSolveMeanPayoffFrontend:
         assert second.gain == pytest.approx(first.gain)
 
 
-class TestBatchedSolvers:
-    """Batched multi-reward solves must reproduce the sequential per-reward results."""
+class TestProbeContract:
+    """What Algorithm 1 reads from one probe: the sign of the optimal gain.
 
-    WEIGHTS = [[1.0], [0.5], [-0.25], [2.0]]
+    Every backend must return the closed-form gain of :func:`race_mdp` under
+    ``r_beta`` on both sides of the zero crossing at ``beta = 2/3``, so a
+    bisection decides the same half whichever backend the user picks.
+    """
 
-    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration"])
-    @pytest.mark.parametrize("factory", [choice_mdp, cycle_mdp, stochastic_mdp])
-    def test_batch_matches_sequential(self, solver, factory):
-        mdp = factory()
-        batch = solve_mean_payoff_batch(mdp, self.WEIGHTS, solver=solver)
-        assert len(batch) == len(self.WEIGHTS)
-        for weights, solution in zip(self.WEIGHTS, batch):
-            reference = solve_mean_payoff(mdp, weights, solver=solver)
-            assert solution.gain == pytest.approx(reference.gain, abs=1e-7)
-            assert solution.solver == solver
+    @pytest.mark.parametrize("solver", SOLVER_BACKENDS)
+    @pytest.mark.parametrize("beta", [0.0, 0.2, 0.5, 0.6, 0.7, 0.9, 1.0])
+    def test_gain_and_sign_match_closed_form(self, beta, solver):
+        solution = solve_mean_payoff(race_mdp(), beta_reward_weights(beta), solver=solver)
+        expected = race_gain(beta)
+        assert solution.gain == pytest.approx(expected, abs=1e-6)
+        assert (solution.gain < 0.0) == (expected < 0.0)
 
-    def test_batched_value_iteration_bounds_certified(self):
-        batch = solve_mean_payoff_batch(cycle_mdp(), self.WEIGHTS, solver="value_iteration")
-        for solution in batch:
-            assert solution.lower_bound <= solution.gain <= solution.upper_bound
-            assert solution.upper_bound - solution.lower_bound < 1e-8
+    @pytest.mark.parametrize("solver", SOLVER_BACKENDS)
+    def test_repeated_solves_are_bit_identical(self, solver):
+        """A probe is a deterministic function of its inputs (no timing, no races)."""
+        mdp = race_mdp()
+        weights = beta_reward_weights(0.55)
+        first = solve_mean_payoff(mdp, weights, solver=solver)
+        second = solve_mean_payoff(mdp, weights, solver=solver)
+        assert first.gain == second.gain
+        assert (first.lower_bound, first.upper_bound) == (second.lower_bound, second.upper_bound)
+        assert first.iterations == second.iterations
+        assert list(first.strategy.rows) == list(second.strategy.rows)
 
-    def test_linear_program_falls_back_to_sequential(self):
-        batch = solve_mean_payoff_batch(stochastic_mdp(), [[1.0]], solver="linear_program")
-        assert batch[0].gain == pytest.approx(1.5, abs=1e-6)
-
-    def test_empty_batch(self):
-        import numpy as np
-
-        assert solve_mean_payoff_batch(choice_mdp(), np.empty((0, 1))) == []
-
-    def test_bad_weight_matrix_shape_raises(self):
-        with pytest.raises(SolverError):
-            solve_mean_payoff_batch(choice_mdp(), [[1.0, 2.0]])
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(SolverError):
-            solve_mean_payoff_batch(choice_mdp(), [[1.0]], solver="magic")
-
-    def test_batched_warm_start_accepted(self):
-        mdp = cycle_mdp()
-        first = solve_mean_payoff(mdp, [1.0])
-        batch = solve_mean_payoff_batch(
-            mdp, self.WEIGHTS, warm_start=first.strategy, warm_start_bias=first.bias
+    @pytest.mark.parametrize("solver", SOLVER_BACKENDS)
+    def test_warm_start_from_previous_probe(self, solver):
+        """Warm-starting from the last probe's strategy and bias keeps the gain."""
+        mdp = race_mdp()
+        previous = solve_mean_payoff(mdp, beta_reward_weights(0.5), solver=solver)
+        weights = beta_reward_weights(0.75)
+        cold = solve_mean_payoff(mdp, weights, solver=solver)
+        warm = solve_mean_payoff(
+            mdp,
+            weights,
+            solver=solver,
+            warm_start=previous.strategy,
+            warm_start_bias=previous.bias,
         )
-        assert batch[0].gain == pytest.approx(first.gain)
-
-
-class TestSolverPortfolio:
-    @pytest.mark.parametrize("factory", [choice_mdp, cycle_mdp, stochastic_mdp])
-    def test_race_matches_reference(self, factory):
-        mdp = factory()
-        reference = solve_mean_payoff(mdp, [1.0], solver="policy_iteration")
-        solution = solve_mean_payoff(mdp, [1.0], solver="portfolio")
-        assert solution.gain == pytest.approx(reference.gain, abs=1e-6)
-        assert solution.solver.startswith("portfolio:")
-        assert solution.solver.split(":", 1)[1] in PORTFOLIO_BACKENDS
-
-    def test_batched_race(self):
-        batch = solve_mean_payoff_batch(
-            stochastic_mdp(), [[1.0], [0.5]], solver="portfolio"
-        )
-        assert [s.gain for s in batch] == [
-            pytest.approx(1.5, abs=1e-6),
-            pytest.approx(0.75, abs=1e-6),
-        ]
-        assert all(s.solver.startswith("portfolio:") for s in batch)
-
-    def test_survives_one_failing_backend(self):
-        """A backend that raises must not lose the race for its rival.
-
-        With ``max_iterations=1`` value iteration exceeds its budget and raises
-        :class:`ConvergenceError`, while policy iteration (whose budget is
-        floored at 100 improvement rounds by the front-end) still converges.
-        """
-        solution = SolverPortfolio().solve(stochastic_mdp(), [1.0], max_iterations=1)
-        assert solution.gain == pytest.approx(1.5, abs=1e-6)
-        assert solution.solver == "portfolio:policy_iteration"
-
-    def test_all_backends_failing_reraises(self):
-        portfolio = SolverPortfolio(backends=("value_iteration",))
-        with pytest.raises(ConvergenceError):
-            portfolio.solve(stochastic_mdp(), [1.0], max_iterations=1)
-
-    def test_invalid_portfolio_configs_rejected(self):
-        with pytest.raises(SolverError):
-            SolverPortfolio(backends=())
-        with pytest.raises(SolverError):
-            SolverPortfolio(backends=("portfolio",))
-        with pytest.raises(SolverError):
-            SolverPortfolio(deadline=0.0)
+        assert warm.gain == pytest.approx(cold.gain, abs=1e-6)
+        assert warm.gain == pytest.approx(race_gain(0.75), abs=1e-6)
