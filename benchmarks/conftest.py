@@ -3,11 +3,16 @@
 Set the environment variable ``REPRO_FULL=1`` to run the paper's full parameter
 grid (all attack configurations of Table 1 and the 0.01-step p-grid of
 Figure 2).  The default configuration keeps every benchmark laptop-scale; see
-DESIGN.md for the rationale.
+docs/architecture.md ("Testing and benchmarks") for the rationale.
 
 Set ``REPRO_BENCH_SMOKE=1`` (used by the CI benchmark job) to shrink the grids
 further so every perf path is exercised within a couple of minutes on a shared
 runner; ``REPRO_FULL`` wins when both are set.
+
+Benchmark CSVs go to a per-session temporary directory, so a test run leaves
+the tracked ``benchmarks/results/*.csv`` files alone.  Set
+``REPRO_BENCH_WRITE=1`` to write them there instead (the CI benchmark job does,
+and uploads them as an artifact).
 """
 
 from __future__ import annotations
@@ -38,9 +43,16 @@ def smoke_mode() -> bool:
     return os.environ.get("REPRO_BENCH_SMOKE", "0") not in ("", "0", "false", "False")
 
 
+def write_mode() -> bool:
+    """Whether the benchmarks should rewrite the tracked CSVs in ``results/``."""
+    return os.environ.get("REPRO_BENCH_WRITE", "0") not in ("", "0", "false", "False")
+
+
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    """Directory for CSV outputs produced by the benchmarks."""
+def results_dir(tmp_path_factory: pytest.TempPathFactory) -> Path:
+    """Directory for CSV outputs: ``results/`` under ``REPRO_BENCH_WRITE=1``, else a tmp dir."""
+    if not write_mode():
+        return tmp_path_factory.mktemp("bench-results")
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
 

@@ -25,8 +25,9 @@ been broadcast but the adversary reacts before its own forks become stale.  If
 the adversary keeps mining (or loses the race), the pending block is appended
 and the window shifts; if a published fork wins, the pending block is orphaned.
 This pre-incorporation timing is what makes the classic one-block race (the
-``d = f = 1`` behaviour discussed in the paper's evaluation) expressible; see
-DESIGN.md for the comparison with the paper's notation.
+``d = f = 1`` behaviour discussed in the paper's evaluation) expressible; the
+sections below give the remaining conventions, and docs/architecture.md
+("Pipeline", step 1) places the symbolic state space in the pipeline.
 
 Depth and finality conventions
 ------------------------------

@@ -96,6 +96,10 @@ FAULT_SITES: Dict[str, str] = {
         "shared-memory results plane attach fails (workers must fall back "
         "to the pickled return path)"
     ),
+    "journal.coordinator_kill_post_record": (
+        "the journaling process SIGKILLs itself right after one point "
+        "record is durable (exercises --resume from a killed coordinator)"
+    ),
 }
 
 

@@ -58,12 +58,14 @@ from __future__ import annotations
 import io
 import json
 import os
+import signal
 import zlib
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..exceptions import ConfigurationError, ModelError
 from .engine import PointOutcome
+from .faults import maybe_fail
 
 #: Supported ``fsync`` policies, least to most durable.
 FSYNC_POLICIES = ("never", "close", "always")
@@ -301,6 +303,8 @@ class SweepJournal:
         if self.fsync == "always":
             os.fsync(handle.fileno())
         self.recorded += 1
+        if maybe_fail("journal.coordinator_kill_post_record"):
+            os.kill(os.getpid(), signal.SIGKILL)
 
     def close(self) -> None:
         """Flush (and, per policy, fsync) and close the journal. Idempotent."""

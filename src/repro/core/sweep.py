@@ -5,7 +5,8 @@ resource fraction ``p`` for several switching probabilities ``gamma``, comparing
 the paper's attack (for several ``(d, f)`` configurations) against honest mining
 and the single-tree baseline.  :func:`sweep_figure2` regenerates those series;
 the grid density and configuration list are configurable so the default harness
-stays within a laptop-scale time budget (see DESIGN.md).
+stays within a laptop-scale time budget (see docs/architecture.md, "Testing
+and benchmarks").
 
 Execution is delegated to the sweep engine (:mod:`repro.core.engine`), which
 fans the attack grid out over a process pool (``workers``), reuses cached model

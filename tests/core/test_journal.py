@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -328,10 +328,14 @@ def _spawn_worker(port: int, *extra: str) -> subprocess.Popen:
 
 
 def test_sigkilled_coordinator_resumes_bit_for_bit(tmp_path):
-    """The PR's acceptance scenario: SIGKILL the distributed coordinator
-    mid-sweep, restart it on the same port with ``--resume``, and the fleet
+    """The acceptance scenario: the distributed coordinator is SIGKILLed
+    mid-sweep, restarts on the same port with ``--resume``, and the fleet
     reconnects and completes only the unjournaled delta -- bit-for-bit equal
-    to an uninterrupted serial run."""
+    to an uninterrupted serial run.  The kill is a fault plan, not a timed
+    signal, so it strikes right after the second durable record however
+    fast the sweep runs; both runs wait for both workers, so each worker is
+    connected before the kill and has reconnected before the resumed run
+    schedules any unit."""
     grid = _distributed_grid()
     serial = run_sweep(SweepConfig(**grid))
     journal = tmp_path / "sweep.journal"
@@ -340,10 +344,11 @@ def test_sigkilled_coordinator_resumes_bit_for_bit(tmp_path):
     coordinator = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "sweep",
-            "--distributed", "--listen", f"127.0.0.1:{port}",
+            "--distributed", "--listen", f"127.0.0.1:{port}", "--min-workers", "2",
             "--gamma", "0.5", "--p-max", "0.15", "--p-step", "0.05",
             "--epsilon", "0.01",
             "--journal", str(journal), "--journal-fsync", "always",
+            "--inject-faults", "journal.coordinator_kill_post_record:2",
         ],
         env=env,
         stdout=subprocess.DEVNULL,
@@ -351,23 +356,20 @@ def test_sigkilled_coordinator_resumes_bit_for_bit(tmp_path):
     )
     workers = [_spawn_worker(port) for _ in range(2)]
     try:
-        deadline = time.monotonic() + 180.0
-        while time.monotonic() < deadline:
-            if _point_record_count(journal) >= 2:
-                break
-            if coordinator.poll() is not None:
-                pytest.fail("coordinator exited before any kill")
-            time.sleep(0.1)
-        else:
-            pytest.fail("no journaled points before the deadline")
-        coordinator.kill()  # SIGKILL: no atexit, no flush beyond per-record
-        coordinator.wait(timeout=30)
+        try:
+            # The plan SIGKILLs the coordinator right after its second record:
+            # no atexit, no flush beyond per-record.
+            returncode = coordinator.wait(timeout=180)
+        except subprocess.TimeoutExpired:
+            pytest.fail("coordinator was not killed before the deadline")
+        assert returncode == -signal.SIGKILL
         replay_floor = _point_record_count(journal)
         assert replay_floor >= 2
         resumed = run_sweep(
             SweepConfig(
                 **grid,
                 coordinator=f"127.0.0.1:{port}",
+                distributed_workers=2,
                 journal_path=str(journal),
                 journal_resume=True,
             )

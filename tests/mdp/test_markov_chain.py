@@ -8,9 +8,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.exceptions import ModelError
-from repro.mdp import MDPBuilder, MarkovChain, Strategy, induced_markov_chain
+from repro.exceptions import ModelError, SolverError
+from repro.mdp import MDP, MDPBuilder, MarkovChain, Strategy, induced_markov_chain
 
 
 def two_state_chain(p_stay: float = 0.5, rewards=((1.0,), (0.0,))) -> MarkovChain:
@@ -52,6 +54,14 @@ class TestMarkovChain:
         matrix = sp.csr_matrix(raw / raw.sum(axis=1, keepdims=True))
         chain = MarkovChain(transition_matrix=matrix, expected_rewards=np.zeros((5, 1)))
         assert chain.stationary_distribution().sum() == pytest.approx(1.0)
+
+    def test_stationary_distribution_of_multichain_raises(self):
+        # Two absorbing states: the stationary system is singular.
+        chain = MarkovChain(
+            transition_matrix=sp.csr_matrix(np.eye(2)), expected_rewards=np.ones((2, 1))
+        )
+        with pytest.raises(SolverError):
+            chain.stationary_distribution()
 
     def test_long_run_reward_vector(self):
         chain = two_state_chain(rewards=((1.0, 2.0), (3.0, 0.0)))
@@ -98,8 +108,6 @@ class TestMarkovChain:
 
     def test_occupancy_ratio_zero_denominator_raises(self):
         chain = two_state_chain(rewards=((0.0, 0.0), (0.0, 0.0)))
-        from repro.exceptions import SolverError
-
         with pytest.raises(SolverError):
             chain.occupancy_ratio([1.0, 0.0], [1.0, 1.0])
 
@@ -141,3 +149,127 @@ class TestInducedChain:
         chain = induced_markov_chain(mdp, strategy)
         # Deterministic 2-cycle alternating rewards 0 and 2 -> average 1.
         assert chain.long_run_reward([1.0])[0] == pytest.approx(1.0)
+
+
+# ------------------------------------------------------------------ oracles
+
+
+def _reference_induced_chain(mdp: MDP, strategy: Strategy) -> MarkovChain:
+    """The induced chain assembled one state at a time (the oracle)."""
+    n = mdp.num_states
+    data: list = []
+    indices: list = []
+    indptr = [0]
+    expected = np.zeros((n, mdp.num_reward_components))
+    for state in range(n):
+        row = int(strategy.rows[state])
+        start, end = int(mdp.row_trans_offsets[row]), int(mdp.row_trans_offsets[row + 1])
+        probs = mdp.trans_prob[start:end]
+        data.extend(probs.tolist())
+        indices.extend(mdp.trans_succ[start:end].tolist())
+        indptr.append(len(data))
+        expected[state] = probs @ mdp.trans_reward[start:end]
+    matrix = sp.csr_matrix(
+        (np.asarray(data), np.asarray(indices), np.asarray(indptr)), shape=(n, n)
+    )
+    matrix.sum_duplicates()
+    return MarkovChain(transition_matrix=matrix, expected_rewards=expected)
+
+
+@st.composite
+def mdps_with_strategies(draw):
+    """Small random MDPs plus one positional strategy.
+
+    Successors are drawn with replacement, so rows repeat successors; rows
+    may hold a single transition; state 0's first action is a pure self-loop,
+    which leaves ``I - P`` a zero diagonal entry when the strategy picks it.
+    """
+    num_states = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10_000)))
+    builder = MDPBuilder(num_reward_components=2)
+    builder.add_action(0, "loop", [(0, 1.0, (1.0, -0.5))])
+    for state in range(num_states):
+        for action in range(int(rng.integers(0 if state == 0 else 1, 4))):
+            size = int(rng.integers(1, 5))
+            weights = rng.random(size) + 1e-3
+            transitions = [
+                (int(succ), float(weight), tuple(rng.uniform(-2.0, 2.0, size=2)))
+                for succ, weight in zip(rng.integers(0, num_states, size=size), weights / weights.sum())
+            ]
+            builder.add_action(state, f"a{action}", transitions)
+    mdp = builder.build(initial_state=0)
+    offsets = mdp.state_row_offsets
+    rows = [draw(st.integers(int(offsets[s]), int(offsets[s + 1]) - 1)) for s in range(mdp.num_states)]
+    return mdp, Strategy(mdp, np.asarray(rows))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=mdps_with_strategies())
+def test_induced_chain_matches_per_state_reference(case):
+    mdp, strategy = case
+    chain = induced_markov_chain(mdp, strategy)
+    reference = _reference_induced_chain(mdp, strategy)
+    ours, theirs = chain.transition_matrix, reference.transition_matrix
+    assert np.array_equal(ours.indptr, theirs.indptr)
+    assert np.array_equal(ours.indices, theirs.indices)
+    # The gather copies probabilities unchanged; only the reward sums may
+    # accumulate in another order than the per-state dot product.
+    assert np.array_equal(ours.data, theirs.data)
+    assert np.allclose(chain.expected_rewards, reference.expected_rewards, rtol=0.0, atol=1e-12)
+    chain.validate()
+
+
+@st.composite
+def unichain_chains(draw):
+    """Random sparse unichain chains with a transient state and self-loops.
+
+    Every row puts mass on state 0, so state 0 is in the one recurrent class;
+    for ``n > 2`` no row enters one other state, the last one included, which
+    is therefore transient.
+    """
+    num_states = draw(st.integers(min_value=2, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10_000)))
+    dense = rng.random((num_states, num_states)) * (rng.random((num_states, num_states)) < 0.4)
+    if num_states > 2:
+        dense[:, draw(st.integers(min_value=1, max_value=num_states - 1))] = 0.0
+    dense[:, 0] += 0.25
+    dense /= dense.sum(axis=1, keepdims=True)
+    rewards = rng.uniform(-2.0, 2.0, size=(num_states, 2))
+    chain = MarkovChain(transition_matrix=sp.csr_matrix(dense), expected_rewards=rewards)
+    reference_state = draw(st.integers(min_value=1, max_value=num_states - 1))
+    return chain, dense, reference_state
+
+
+def _dense_stationary(dense: np.ndarray) -> np.ndarray:
+    n = dense.shape[0]
+    system = np.vstack([dense.T - np.eye(n), np.ones((1, n))])
+    rhs = np.concatenate([np.zeros(n), [1.0]])
+    return np.linalg.lstsq(system, rhs, rcond=None)[0]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=unichain_chains())
+def test_gain_and_bias_match_dense_solve(case):
+    chain, dense, reference_state = case
+    weights = [1.0, -0.3]
+    gain, bias = chain.gain_and_bias(weights, reference_state=reference_state)
+    n = dense.shape[0]
+    rewards = chain.expected_rewards @ np.asarray(weights)
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = np.eye(n) - dense
+    bordered[:n, n] = 1.0
+    bordered[n, reference_state] = 1.0
+    expected = np.linalg.solve(bordered, np.concatenate([rewards, [0.0]]))
+    assert bias[reference_state] == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(bias, expected[:n], rtol=0.0, atol=1e-9)
+    assert gain == pytest.approx(expected[n], abs=1e-9)
+    assert gain == pytest.approx(_dense_stationary(dense) @ rewards, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=unichain_chains())
+def test_stationary_distribution_matches_dense_solve(case):
+    chain, dense, _ = case
+    pi = chain.stationary_distribution()
+    assert np.allclose(pi, _dense_stationary(dense), rtol=0.0, atol=1e-12)
+    assert pi.sum() == pytest.approx(1.0)
