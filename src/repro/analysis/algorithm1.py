@@ -17,6 +17,15 @@ backends) -- and has width below ``epsilon`` with
 ``beta_low <= ERRev* <= beta_up`` within the MDP's strategy class.  Warm starts
 (``AnalysisConfig.warm_start``) change solver iteration counts, never the
 certified interval beyond solver tolerance.
+
+A probe needs only the sign of the optimal mean payoff, so it asks the solver
+for exactly that (``sign_only``): policy and value iteration stop as soon as
+their gain bounds exclude 0, which is the decision a converged solve would
+take.  Each probe's strategy travels to the next probe together with its
+per-component policy evaluation, which holds for every ``beta`` at once, so a
+warm-started policy-iteration probe starts without a linear solve.  The final
+solve at ``beta_low`` runs to convergence; the ERRev of its strategy comes
+from the per-component gains of that solve's last policy evaluation.
 """
 
 from __future__ import annotations
@@ -29,8 +38,8 @@ from typing import List, Optional
 import numpy as np
 
 from ..config import AnalysisConfig
-from ..exceptions import ModelError
-from ..mdp import MDP, MeanPayoffSolution, Strategy, solve_mean_payoff
+from ..exceptions import ModelError, SolverError
+from ..mdp import MDP, MeanPayoffSolution, PolicyEvaluation, Strategy, solve_mean_payoff
 from .errev import evaluate_strategy_errev
 from .rewards import beta_reward_weights
 
@@ -43,12 +52,18 @@ class BinarySearchIteration:
 
     Attributes:
         beta: The beta value probed in this iteration.
-        optimal_mean_payoff: The optimal mean payoff under ``r_beta``.
+        optimal_mean_payoff: The solver's gain under ``r_beta``, whose sign
+            decided the probe.  A probe stops once that sign is proven, so
+            this is the optimal mean payoff only when the solver converged;
+            under policy iteration it is otherwise the gain of the last
+            evaluated strategy, a lower bound on the optimum.
         beta_low: Lower end of the beta interval after the update.
         beta_up: Upper end of the beta interval after the update.
         solve_seconds: Wall-clock time of the mean-payoff solve.
         solver_iterations: Iterations the mean-payoff backend needed (policy
             improvement rounds or value-iteration sweeps; 0 for the LP).
+        lower_bound: The solver's lower bound on the optimal mean payoff.
+        upper_bound: The solver's upper bound on the optimal mean payoff.
     """
 
     beta: float
@@ -57,6 +72,8 @@ class BinarySearchIteration:
     beta_up: float
     solve_seconds: float
     solver_iterations: int = 0
+    lower_bound: float = float("-inf")
+    upper_bound: float = float("inf")
 
 
 @dataclass
@@ -72,8 +89,9 @@ class FormalAnalysisResult:
         epsilon: The precision the search was run with.
         strategy: A strategy optimal for ``r_{beta_low}``; by Theorem 3.1 its
             ERRev lies in ``[ERRev* - epsilon, ERRev*]``.
-        strategy_errev: Exact ERRev of ``strategy`` (stationary evaluation), or
-            ``None`` if evaluation was disabled.
+        strategy_errev: Exact ERRev of ``strategy`` (from the per-component
+            gains of its induced chain), or ``None`` if evaluation was
+            disabled.
         iterations: Per-iteration log of the binary search.
         total_seconds: Total wall-clock time of the analysis.
         solver: Mean-payoff solver backend used.
@@ -141,6 +159,11 @@ def formal_analysis(
     Returns:
         A :class:`FormalAnalysisResult` with the epsilon-tight lower bound, the
         extracted strategy and the full iteration log.
+
+    Raises:
+        SolverError: If ``config.evaluate_strategy`` is set and the extracted
+            strategy's ERRev falls below ``beta_low - config.solver_tolerance``
+            (the strategy does not witness the certified lower bound).
     """
     config = config or AnalysisConfig()
     if not 0.0 <= beta_low <= beta_up <= 1.0:
@@ -150,6 +173,7 @@ def formal_analysis(
     iterations: List[BinarySearchIteration] = []
     warm_strategy: Optional[Strategy] = None
     warm_bias: Optional[np.ndarray] = None
+    warm_evaluation: Optional[PolicyEvaluation] = None
     if config.warm_start:
         warm_strategy = _strategy_from_rows(mdp, initial_strategy_rows)
         warm_bias = _bias_from_vector(mdp, initial_bias)
@@ -158,7 +182,9 @@ def formal_analysis(
     while beta_up - beta_low >= config.epsilon:
         beta = 0.5 * (beta_low + beta_up)
         solve_start = time.perf_counter()
-        solution = _solve(mdp, beta, config, warm_strategy, warm_bias)
+        solution = _solve(
+            mdp, beta, config, warm_strategy, warm_bias, warm_evaluation, sign_only=True
+        )
         solve_seconds = time.perf_counter() - solve_start
         if solution.gain < 0.0:
             beta_up = beta
@@ -172,20 +198,30 @@ def formal_analysis(
                 beta_up=beta_up,
                 solve_seconds=solve_seconds,
                 solver_iterations=solution.iterations,
+                lower_bound=solution.lower_bound,
+                upper_bound=solution.upper_bound,
             )
         )
         total_solver_iterations += solution.iterations
         if config.warm_start:
             warm_strategy = solution.strategy
             warm_bias = solution.bias
+            warm_evaluation = solution.evaluation
 
-    # Final solve at beta_low to extract the certified strategy.
-    final_solution = _solve(mdp, beta_low, config, warm_strategy, warm_bias)
+    # Final solve at beta_low, to convergence, to extract the certified strategy.
+    final_solution = _solve(mdp, beta_low, config, warm_strategy, warm_bias, warm_evaluation)
     total_solver_iterations += final_solution.iterations
     strategy = final_solution.strategy
-    strategy_errev = (
-        evaluate_strategy_errev(mdp, strategy) if config.evaluate_strategy else None
-    )
+    strategy_errev: Optional[float] = None
+    if config.evaluate_strategy:
+        # Value iteration evaluates no strategy; the chain is then solved here.
+        gains = None if final_solution.evaluation is None else final_solution.evaluation.gains
+        strategy_errev = evaluate_strategy_errev(mdp, strategy, gains)
+        if strategy_errev < beta_low - config.solver_tolerance:
+            raise SolverError(
+                f"extracted strategy achieves ERRev {strategy_errev!r}, below the "
+                f"certified lower bound {beta_low!r}"
+            )
 
     return FormalAnalysisResult(
         errev_lower_bound=beta_low,
@@ -258,6 +294,9 @@ def _solve(
     config: AnalysisConfig,
     warm_start: Optional[Strategy],
     warm_start_bias: Optional[np.ndarray],
+    warm_start_evaluation: Optional[PolicyEvaluation],
+    *,
+    sign_only: bool = False,
 ) -> MeanPayoffSolution:
     """Solve the mean-payoff MDP under ``r_beta`` with the configured backend."""
     return solve_mean_payoff(
@@ -268,4 +307,6 @@ def _solve(
         max_iterations=config.max_solver_iterations,
         warm_start=warm_start,
         warm_start_bias=warm_start_bias,
+        warm_start_evaluation=warm_start_evaluation,
+        sign_only=sign_only,
     )

@@ -12,17 +12,26 @@ finalised blocks.  This gives the *exact* ERRev guaranteed by a strategy, used
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
+import numpy as np
+
 from ..exceptions import SolverError
 from ..mdp import MDP, Strategy, induced_markov_chain
 from .rewards import ADVERSARY_WEIGHTS, TOTAL_WEIGHTS
 
 
-def evaluate_strategy_errev(mdp: MDP, strategy: Strategy) -> float:
+def evaluate_strategy_errev(
+    mdp: MDP, strategy: Strategy, gains: Optional[Sequence[float]] = None
+) -> float:
     """Exact expected relative revenue of ``strategy`` in the selfish-mining MDP.
 
     Args:
         mdp: A selfish-mining MDP with reward components ``(r_A, r_H)``.
         strategy: The positional strategy to evaluate.
+        gains: The strategy's per-component long-run gains when a solver has
+            already evaluated it (``PolicyEvaluation.gains``); otherwise they
+            are computed from the induced chain's stationary distribution.
 
     Returns:
         ``E[r_A] / E[r_A + r_H]`` under the strategy's stationary distribution.
@@ -31,8 +40,10 @@ def evaluate_strategy_errev(mdp: MDP, strategy: Strategy) -> float:
         SolverError: If the long-run total block rate is zero (which cannot
             happen for ``p < 1`` in well-formed models).
     """
-    chain = induced_markov_chain(mdp, strategy)
-    averages = chain.long_run_reward()
+    if gains is None:
+        averages = induced_markov_chain(mdp, strategy).long_run_reward()
+    else:
+        averages = np.asarray(gains, dtype=float)
     adversary_rate = float(averages @ ADVERSARY_WEIGHTS)
     total_rate = float(averages @ TOTAL_WEIGHTS)
     if total_rate <= 0.0:

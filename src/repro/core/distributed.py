@@ -972,16 +972,24 @@ def run_worker(
             summary.outcomes += len(outcomes)
             report(f"unit {unit_id}: {len(outcomes)} point(s) done")
 
-        await send(
-            {
-                "type": "hello",
-                "protocol": PROTOCOL_VERSION,
-                "capacity": capacity,
-                "heartbeat_seconds": heartbeat_seconds,
-                "name": f"{socket.gethostname()}:{os.getpid()}",
-                "scenarios": [entry.scenario_id for entry in list_attacks()],
-            }
-        )
+        try:
+            await send(
+                {
+                    "type": "hello",
+                    "protocol": PROTOCOL_VERSION,
+                    "capacity": capacity,
+                    "heartbeat_seconds": heartbeat_seconds,
+                    "name": f"{socket.gethostname()}:{os.getpid()}",
+                    "scenarios": [entry.scenario_id for entry in list_attacks()],
+                }
+            )
+        except ConnectionError:
+            # The coordinator died between accepting and reading (e.g. a
+            # SIGKILL right after a journal record): a dropped connection
+            # like any other, so the caller re-dials instead of crashing.
+            report("connection to coordinator lost")
+            writer.close()
+            return False
         heartbeats = asyncio.ensure_future(heartbeat())
         units_in_flight: Set[asyncio.Task] = set()
         clean = False

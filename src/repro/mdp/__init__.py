@@ -9,7 +9,7 @@ stationary analysis and structural (graph) analysis.
 
 from .model import MDP, MDPBuilder, TransitionRow
 from .strategy import Strategy
-from .markov_chain import MarkovChain, induced_markov_chain
+from .markov_chain import MarkovChain, PolicyEvaluation, induced_markov_chain
 from .value_iteration import RelativeValueIterationResult, relative_value_iteration
 from .policy_iteration import PolicyIterationResult, policy_iteration
 from .linear_program import LinearProgramResult, solve_mean_payoff_lp
@@ -25,6 +25,7 @@ __all__ = [
     "Strategy",
     "MarkovChain",
     "induced_markov_chain",
+    "PolicyEvaluation",
     "RelativeValueIterationResult",
     "relative_value_iteration",
     "PolicyIterationResult",

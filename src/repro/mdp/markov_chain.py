@@ -2,15 +2,16 @@
 
 The formal analysis needs two quantities of the induced chain: the stationary
 distribution (to evaluate the exact expected relative revenue of a strategy)
-and the gain/bias pair (for policy evaluation inside Howard policy iteration).
-Both are computed with sparse linear algebra.
+and the gain/bias pair of every reward component (for policy evaluation inside
+Howard policy iteration, reused across reward weights).  Both are computed with
+sparse linear algebra.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,6 +22,28 @@ from .model import MDP
 from .strategy import Strategy
 
 logger = logging.getLogger(__name__)
+
+
+class PolicyEvaluation(NamedTuple):
+    """Per-component gains and biases of one chain's Poisson equation.
+
+    The Poisson equation is linear in the reward, so the gain and bias of a
+    weighted reward ``R @ w`` are ``gains @ w`` and ``biases @ w``: one
+    evaluation of a strategy serves every weight vector, e.g. every ``beta``
+    of Algorithm 1's ``r_beta = (1 - beta) r_A - beta r_H``.
+
+    Attributes:
+        gains: ``(k,)`` long-run average of each reward component.
+        biases: ``(n, k)`` bias vector of each reward component.
+    """
+
+    gains: np.ndarray
+    biases: np.ndarray
+
+    def weighted(self, weights: Sequence[float]) -> Tuple[float, np.ndarray]:
+        """Gain and bias of the reward ``R @ weights``."""
+        vector = np.asarray(weights, dtype=float)
+        return float(self.gains @ vector), self.biases @ vector
 
 
 @dataclass
@@ -114,15 +137,25 @@ class MarkovChain:
         return np.asarray([float(averages @ np.asarray(weights, dtype=float))])
 
     def gain_and_bias(
-        self, weights: Sequence[float], reference_state: int = 0
-    ) -> Tuple[float, np.ndarray]:
+        self, weights: Optional[Sequence[float]] = None, reference_state: int = 0
+    ) -> Union[PolicyEvaluation, Tuple[float, np.ndarray]]:
         """Solve the unichain Poisson equation ``h + g = r + P h``, ``h[ref] = 0``.
 
+        The bordered system is factored once and solved for every reward
+        component at once (one right-hand-side column each).
+
+        Args:
+            weights: Optional reward-component weights.  If omitted, every
+                component is evaluated separately.
+            reference_state: The state whose bias is pinned to zero.
+
         Returns:
-            The scalar gain ``g`` and the bias vector ``h``.
+            Without ``weights``: a :class:`PolicyEvaluation` with the ``(k,)``
+            per-component gains and ``(n, k)`` biases.  With ``weights``: the
+            scalar gain and the bias vector of the weighted reward.
         """
         n = self.num_states
-        rewards = self.expected_rewards @ np.asarray(weights, dtype=float)
+        components = self.expected_rewards.shape[1]
         # Bordered system [[I - P, 1], [e_ref, 0]] [h; g] = [r; 0]: one equation
         # h[s] - sum_t P[s,t] h[t] + g = r[s] per state, plus h[ref] = 0.
         transitions = self.transition_matrix
@@ -133,22 +166,25 @@ class MarkovChain:
         data = np.concatenate([np.ones(n), -transitions.data, np.ones(n), [1.0]])
         full = sp.csc_matrix((data, (rows, cols)), shape=(n + 1, n + 1))
         full.eliminate_zeros()
-        rhs = np.concatenate([rewards, [0.0]])
+        rhs = np.vstack([self.expected_rewards, np.zeros((1, components))])
         try:
-            solution = spla.spsolve(full, rhs)
+            solution = np.reshape(spla.spsolve(full, rhs), (n + 1, components))
             if not np.all(np.isfinite(solution)):
                 raise SolverError("singular Poisson system")
         except Exception as exc:
             # Unichain models with transient structure can make the square system
-            # ill-conditioned; fall back to a least-squares solve.
+            # ill-conditioned; fall back to a least-squares solve per column.
             logger.debug("Poisson system of %d states: %s; falling back to lsqr", n, exc)
             try:
-                solution = spla.lsqr(full, rhs, atol=1e-12, btol=1e-12)[0]
+                solution = np.column_stack(
+                    [spla.lsqr(full, column, atol=1e-12, btol=1e-12)[0] for column in rhs.T]
+                )
             except Exception as exc:  # pragma: no cover - scipy failure path
                 raise SolverError(f"gain/bias solve failed: {exc}") from exc
-        h = np.asarray(solution[:n], dtype=float)
-        g = float(solution[n])
-        return g, h
+        evaluation = PolicyEvaluation(gains=solution[n].copy(), biases=solution[:n])
+        if weights is None:
+            return evaluation
+        return evaluation.weighted(weights)
 
     def occupancy_ratio(self, numerator_weights: Sequence[float], denominator_weights: Sequence[float]) -> float:
         """Return the ratio of two long-run average rewards.

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..exceptions import SolverError
 from .linear_program import solve_mean_payoff_lp
+from .markov_chain import PolicyEvaluation
 from .model import MDP
 from .policy_iteration import policy_iteration
 from .strategy import Strategy
@@ -29,13 +30,22 @@ class MeanPayoffSolution:
     """Solver-independent mean-payoff result.
 
     Attributes:
-        gain: Best estimate of the optimal mean payoff.
-        lower_bound: Certified (or numerically exact) lower bound on the gain.
-        upper_bound: Certified (or numerically exact) upper bound on the gain.
-        strategy: Optimal (or epsilon-optimal) positional strategy.
+        gain: Best estimate of the optimal mean payoff; after a sign-only
+            solve, possibly just an estimate whose sign is proven.
+        lower_bound: Lower bound on the optimal gain: the gain of the last
+            evaluated strategy (policy iteration), the minimal Bellman
+            residual (value iteration) or ``gain - tolerance`` (LP).
+        upper_bound: Upper bound on the optimal gain: the span bound
+            ``max_s [(T h)(s) - h(s)]`` (policy and value iteration) or
+            ``gain + tolerance`` (LP).
+        strategy: Optimal (or epsilon-optimal) positional strategy; after a
+            sign-only solve, the last strategy the backend considered.
         bias: Bias vector associated with the solution.
         solver: Name of the backend that produced the result.
         iterations: Iterations used by the backend (0 for the LP).
+        evaluation: Per-component gains and biases of ``strategy`` when the
+            backend evaluated it (policy iteration and the LP's refinement);
+            ``None`` for value iteration, which evaluates no strategy.
     """
 
     gain: float
@@ -45,6 +55,7 @@ class MeanPayoffSolution:
     bias: np.ndarray
     solver: str
     iterations: int
+    evaluation: Optional[PolicyEvaluation] = None
 
 
 def solve_mean_payoff(
@@ -56,6 +67,8 @@ def solve_mean_payoff(
     max_iterations: int = 100_000,
     warm_start: Optional[Strategy] = None,
     warm_start_bias: Optional[np.ndarray] = None,
+    warm_start_evaluation: Optional[PolicyEvaluation] = None,
+    sign_only: bool = False,
 ) -> MeanPayoffSolution:
     """Compute the optimal mean payoff and an optimal strategy.
 
@@ -74,6 +87,14 @@ def solve_mean_payoff(
             ignored when its shape does not match ``mdp.num_states`` so that
             callers can pass vectors carried across structurally different
             models without checking.
+        warm_start_evaluation: Optional evaluation of ``warm_start`` (the
+            ``evaluation`` of the solution it came from); policy iteration then
+            skips its first policy evaluation.
+        sign_only: Stop policy or value iteration as soon as its bounds prove
+            the sign of the optimal gain (``lower_bound >= tolerance`` or
+            ``upper_bound <= -tolerance``).  The sign of ``gain`` is then the
+            sign a converged solve reports, but ``gain`` itself need not be
+            optimal.  The LP always solves to optimality.
 
     Raises:
         SolverError: If ``solver`` is not a known backend.
@@ -89,15 +110,18 @@ def solve_mean_payoff(
             tolerance=tolerance,
             max_iterations=max(100, min(max_iterations, 10_000)),
             initial_strategy=warm_start,
+            initial_evaluation=warm_start_evaluation,
+            sign_only=sign_only,
         )
         return MeanPayoffSolution(
             gain=result.gain,
-            lower_bound=result.gain - tolerance,
-            upper_bound=result.gain + tolerance,
+            lower_bound=result.gain,
+            upper_bound=result.upper_bound,
             strategy=result.strategy,
             bias=result.bias,
             solver=solver,
             iterations=result.iterations,
+            evaluation=result.evaluation,
         )
     if solver == "value_iteration":
         result = relative_value_iteration(
@@ -106,6 +130,7 @@ def solve_mean_payoff(
             tolerance=tolerance,
             max_iterations=max_iterations,
             initial_bias=warm_start_bias,
+            sign_only=sign_only,
         )
         return MeanPayoffSolution(
             gain=result.gain,
@@ -137,6 +162,7 @@ def solve_mean_payoff(
             bias=result.bias,
             solver=solver,
             iterations=refinement.iterations,
+            evaluation=refinement.evaluation,
         )
     raise SolverError(f"unknown mean-payoff solver {solver!r}; choose from {SOLVER_BACKENDS}")
 

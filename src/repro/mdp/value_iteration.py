@@ -80,6 +80,7 @@ def relative_value_iteration(
     damping: float = 0.5,
     initial_bias: Optional[np.ndarray] = None,
     raise_on_divergence: bool = True,
+    sign_only: bool = False,
 ) -> RelativeValueIterationResult:
     """Solve the mean-payoff MDP with relative value iteration.
 
@@ -97,6 +98,10 @@ def relative_value_iteration(
         raise_on_divergence: If true, exceeding the budget raises
             :class:`~repro.exceptions.ConvergenceError`; otherwise the best
             available bounds are returned with ``converged=False``.
+        sign_only: Also stop as soon as the bounds prove the sign of the
+            optimal gain: ``lower_bound >= tolerance`` or
+            ``upper_bound <= -tolerance``.  The bounds only tighten from one
+            sweep to the next, so the sign is the one a converged run reports.
 
     Returns:
         A :class:`RelativeValueIterationResult` with certified gain bounds and a
@@ -126,17 +131,17 @@ def relative_value_iteration(
         residual = backup - values
         lower = float(np.min(residual))
         upper = float(np.max(residual))
-        if upper - lower < tolerance:
-            converged = True
+        converged = upper - lower < tolerance
+        if converged or (sign_only and (lower >= tolerance or upper <= -tolerance)):
             break
         values = (1.0 - damping) * values + damping * backup
         values = values - values[reference]
-
-    if not converged and raise_on_divergence:
-        raise ConvergenceError(
-            f"relative value iteration did not converge within {max_iterations} iterations "
-            f"(residual span {upper - lower:.3e})"
-        )
+    else:
+        if raise_on_divergence:
+            raise ConvergenceError(
+                f"relative value iteration did not converge within {max_iterations} iterations "
+                f"(residual span {upper - lower:.3e})"
+            )
 
     # The residual of the damped operator relates to the original gain by 1/damping.
     # We compute the final (undamped) residual bounds explicitly for the certificate.

@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from repro.config import AnalysisConfig
+from repro.config import AnalysisConfig, AttackParams, ProtocolParams
 from repro.analysis import (
+    algorithm1,
+    beta_reward_weights,
     check_theorem_premises,
     dinkelbach_analysis,
     evaluate_strategy_errev,
     formal_analysis,
 )
-from repro.mdp import SOLVER_BACKENDS
+from repro.attacks import build_selfish_forks_mdp
+from repro.attacks.honest import immediate_release_strategy
+from repro.attacks.sm_actions import build_sm_actions_mdp
+from repro.exceptions import SolverError
+from repro.mdp import SOLVER_BACKENDS, solve_mean_payoff
 
 
 class TestInitialBiasValidation:
@@ -275,3 +283,138 @@ class TestCertificates:
         )
         assert report.probed_gains[0] > 0.0
         assert report.probed_gains[-1] < 0.0
+
+
+# ------------------------------------------------ sign-stopped probes vs. oracles
+
+#: Small models over several (p, gamma): selfish forks d1f1 and d2f1 (l = 4)
+#: and the ADOPT/OVERRIDE/WAIT/MATCH scenario with l = 4 and l = 8.
+SMALL_MODELS = [
+    (attack, p, gamma)
+    for attack in (
+        AttackParams(depth=1, forks=1, max_fork_length=4),
+        AttackParams(depth=2, forks=1, max_fork_length=4),
+        AttackParams(depth=1, forks=1, max_fork_length=4, scenario="sm-actions"),
+        AttackParams(depth=1, forks=1, max_fork_length=8, scenario="sm-actions"),
+    )
+    for p, gamma in ((0.1, 0.0), (0.3, 0.5), (0.4, 1.0), (0.45, 0.25))
+]
+
+
+def _build(attack: AttackParams, p: float, gamma: float):
+    protocol = ProtocolParams(p=p, gamma=gamma)
+    if attack.scenario == "sm-actions":
+        return build_sm_actions_mdp(protocol, attack).mdp
+    return build_selfish_forks_mdp(protocol, attack).mdp
+
+
+def _reference_bisection(mdp, config: AnalysisConfig):
+    """Algorithm 1 with every probe solved to convergence (the oracle)."""
+    low, up = 0.0, 1.0
+    warm = None
+    while up - low >= config.epsilon:
+        beta = 0.5 * (low + up)
+        solution = solve_mean_payoff(
+            mdp,
+            beta_reward_weights(beta),
+            tolerance=config.solver_tolerance,
+            max_iterations=config.max_solver_iterations,
+            warm_start=warm,
+        )
+        if solution.gain < 0.0:
+            up = beta
+        else:
+            low = beta
+        warm = solution.strategy
+    final = solve_mean_payoff(
+        mdp,
+        beta_reward_weights(low),
+        tolerance=config.solver_tolerance,
+        max_iterations=config.max_solver_iterations,
+        warm_start=warm,
+    )
+    return low, up, evaluate_strategy_errev(mdp, final.strategy)
+
+
+def _exact_errev(mdp, strategy) -> Fraction:
+    """ERRev of ``strategy`` from its induced chain in exact rational arithmetic."""
+    n = mdp.num_states
+    transitions = [[Fraction(0)] * n for _ in range(n)]
+    rewards = [[Fraction(0), Fraction(0)] for _ in range(n)]
+    for state in range(n):
+        for succ, prob, reward in mdp.transitions_of_row(int(strategy.rows[state])):
+            transitions[state][succ] += Fraction(prob)
+            for k in range(2):
+                rewards[state][k] += Fraction(prob) * Fraction(float(reward[k]))
+        total = sum(transitions[state])
+        transitions[state] = [value / total for value in transitions[state]]
+        rewards[state] = [value / total for value in rewards[state]]
+    # pi (P - I) = 0 with the last equation replaced by sum(pi) = 1.
+    system = [
+        [transitions[s][t] - (1 if s == t else 0) for s in range(n)] + [Fraction(0)]
+        for t in range(n - 1)
+    ]
+    system.append([Fraction(1)] * n + [Fraction(1)])
+    for col in range(n):
+        pivot = next(row for row in range(col, n) if system[row][col] != 0)
+        system[col], system[pivot] = system[pivot], system[col]
+        for row in range(n):
+            if row != col and system[row][col] != 0:
+                factor = system[row][col] / system[col][col]
+                system[row] = [a - factor * b for a, b in zip(system[row], system[col])]
+    pi = [system[s][n] / system[s][s] for s in range(n)]
+    adversary = sum(pi[s] * rewards[s][0] for s in range(n))
+    honest = sum(pi[s] * rewards[s][1] for s in range(n))
+    return adversary / (adversary + honest)
+
+
+@pytest.mark.parametrize("attack, p, gamma", SMALL_MODELS)
+def test_sign_stopped_search_matches_full_convergence_bisection(attack, p, gamma):
+    mdp = _build(attack, p, gamma)
+    config = AnalysisConfig(epsilon=1e-3)
+    result = formal_analysis(mdp, config)
+    low, up, errev = _reference_bisection(mdp, config)
+    assert (result.beta_low, result.beta_up) == (low, up)
+    assert result.strategy_errev == pytest.approx(errev, abs=1e-9)
+    # ERRev from the final solve's gains equals the stationary evaluation.
+    assert result.strategy_errev == pytest.approx(
+        evaluate_strategy_errev(mdp, result.strategy), abs=1e-12
+    )
+    for record in result.iterations:
+        assert record.lower_bound <= record.optimal_mean_payoff <= record.upper_bound
+        # The sign that decided the probe is proven, or the probe converged.
+        proven = (
+            record.lower_bound >= config.solver_tolerance
+            or record.upper_bound <= -config.solver_tolerance
+        )
+        assert proven or record.upper_bound - record.lower_bound <= 2 * config.solver_tolerance
+
+
+@pytest.mark.parametrize("p, gamma", [(0.3, 0.5), (0.4, 1.0), (0.45, 0.25)])
+def test_errev_from_gains_matches_exact_rational_evaluation(p, gamma):
+    mdp = _build(AttackParams(depth=1, forks=1, max_fork_length=4), p, gamma)
+    result = formal_analysis(mdp, AnalysisConfig(epsilon=1e-3))
+    assert abs(Fraction(result.strategy_errev) - _exact_errev(mdp, result.strategy)) < 1e-12
+
+
+def test_witness_below_beta_low_raises(model_d2f1, monkeypatch):
+    """A final strategy that misses the certified lower bound is an error."""
+    honest = immediate_release_strategy(model_d2f1.mdp)
+    original = algorithm1.solve_mean_payoff
+
+    def wrong_final_strategy(*args, sign_only=False, **kwargs):
+        solution = original(*args, sign_only=sign_only, **kwargs)
+        if sign_only:
+            return solution
+        return dataclasses.replace(solution, strategy=honest, evaluation=None)
+
+    monkeypatch.setattr(algorithm1, "solve_mean_payoff", wrong_final_strategy)
+    config = AnalysisConfig(epsilon=1e-3)
+    assert evaluate_strategy_errev(model_d2f1.mdp, honest) < 0.3
+    with pytest.raises(SolverError, match="certified lower bound"):
+        formal_analysis(model_d2f1.mdp, config)
+    # Without the evaluation there is no witness to check.
+    disabled = formal_analysis(
+        model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, evaluate_strategy=False)
+    )
+    assert disabled.strategy is honest

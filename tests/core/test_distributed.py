@@ -8,6 +8,7 @@ exercised exactly as it would be across hosts.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import socket
 import struct
@@ -28,6 +29,7 @@ from repro.core.distributed import (
     outcome_to_wire,
     parse_address,
     run_distributed_sweep,
+    run_worker,
     task_from_wire,
     task_to_wire,
 )
@@ -324,6 +326,37 @@ def test_distributed_sweep_survives_killed_worker():
     assert not distributed.failures
     _assert_same_points(serial, distributed)
     assert workers[1].returncode == 0
+
+
+def test_worker_survives_connection_reset_during_hello(monkeypatch):
+    """A coordinator that dies between accepting and reading the hello (a
+    SIGKILL right after a journal record) is a dropped connection: the worker
+    re-dials for its reconnect budget and exits normally, it does not crash."""
+    port = _free_port()
+    dials = []
+    original_open = asyncio.open_connection
+
+    class ResetWriter:
+        def write(self, data: bytes) -> None:
+            pass
+
+        async def drain(self) -> None:
+            raise ConnectionResetError("Connection lost")
+
+        def close(self) -> None:
+            pass
+
+    async def open_connection(host, port):
+        dials.append(port)
+        if len(dials) == 1:
+            return asyncio.StreamReader(), ResetWriter()
+        return await original_open(host, port)  # nothing listens: refused
+
+    monkeypatch.setattr(asyncio, "open_connection", open_connection)
+    summary = run_worker(f"127.0.0.1:{port}", reconnect_seconds=0.3, heartbeat_seconds=1.0)
+    assert len(dials) >= 2
+    assert not summary.clean_shutdown
+    assert summary.units == 0
 
 
 def _read_frame_blocking(sock: socket.socket) -> dict:

@@ -8,11 +8,21 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ModelError, SolverError
-from repro.mdp import MDP, MDPBuilder, MarkovChain, Strategy, induced_markov_chain
+from repro.mdp import (
+    MDP,
+    MDPBuilder,
+    MarkovChain,
+    PolicyEvaluation,
+    Strategy,
+    induced_markov_chain,
+    policy_iteration,
+)
+from repro.mdp.policy_iteration import _greedy_improvement
 
 
 def two_state_chain(p_stay: float = 0.5, rewards=((1.0,), (0.0,))) -> MarkovChain:
@@ -273,3 +283,110 @@ def test_stationary_distribution_matches_dense_solve(case):
     pi = chain.stationary_distribution()
     assert np.allclose(pi, _dense_stationary(dense), rtol=0.0, atol=1e-12)
     assert pi.sum() == pytest.approx(1.0)
+
+
+# ------------------------------------------- two-column evaluation and bounds
+
+
+def _beta_weights(beta: float) -> np.ndarray:
+    return np.array([1.0 - beta, -beta])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=unichain_chains(), beta=st.floats(min_value=0.0, max_value=1.0))
+def test_two_column_evaluation_matches_weighted_solves(case, beta):
+    chain, dense, reference_state = case
+    n = dense.shape[0]
+    weights = _beta_weights(beta)
+    evaluation = chain.gain_and_bias(reference_state=reference_state)
+    assert isinstance(evaluation, PolicyEvaluation)
+    assert evaluation.gains.shape == (2,)
+    assert evaluation.biases.shape == (n, 2)
+    gain, bias = evaluation.weighted(weights)
+    # The weights form is the same evaluation, combined.
+    weighted_gain, weighted_bias = chain.gain_and_bias(weights, reference_state=reference_state)
+    assert weighted_gain == gain
+    assert np.array_equal(weighted_bias, bias)
+    # One sparse solve with the weighted reward as its only column.
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = np.eye(n) - dense
+    bordered[:n, n] = 1.0
+    bordered[n, reference_state] = 1.0
+    rhs = np.concatenate([chain.expected_rewards @ weights, [0.0]])
+    single = spla.spsolve(sp.csc_matrix(bordered), rhs)
+    dense_solution = np.linalg.solve(bordered, rhs)
+    for expected in (single, dense_solution):
+        assert np.allclose(bias, expected[:n], rtol=0.0, atol=1e-12)
+        assert gain == pytest.approx(expected[n], abs=1e-12)
+
+
+def _with_restart(mdp: MDP, restart: float = 0.1) -> MDP:
+    """``mdp`` with every action jumping to state 0 with probability ``restart``.
+
+    State 0 is then reached from every state under every strategy, so every
+    strategy's chain has one recurrent class: the model is unichain.
+    """
+    builder = MDPBuilder(num_reward_components=mdp.num_reward_components)
+    zero = np.zeros(mdp.num_reward_components)
+    for state in range(mdp.num_states):
+        builder.add_state(state)
+    for row in range(mdp.num_rows):
+        transitions = [
+            (succ, (1.0 - restart) * prob, tuple(reward))
+            for succ, prob, reward in mdp.transitions_of_row(row)
+        ]
+        transitions.append((0, restart, tuple(zero)))
+        builder.add_action(int(mdp.row_state[row]), mdp.row_actions[row], transitions)
+    return builder.build(initial_state=mdp.initial_state)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=mdps_with_strategies(), beta=st.floats(min_value=0.0, max_value=1.0))
+def test_policy_gain_and_span_bound_bracket_the_optimum(case, beta):
+    base, base_strategy = case
+    mdp = _with_restart(base)
+    strategy = Strategy(mdp, base_strategy.rows)
+    weights = _beta_weights(beta)
+    optimum = policy_iteration(mdp, weights)
+    assert optimum.converged
+    evaluation = induced_markov_chain(mdp, strategy).gain_and_bias(
+        reference_state=mdp.initial_state
+    )
+    gain, bias = evaluation.weighted(weights)
+    _, upper = _greedy_improvement(
+        mdp, mdp.expected_row_rewards(weights), bias, strategy.rows, 1e-9
+    )
+    assert gain <= optimum.gain + 1e-9
+    assert optimum.gain <= upper + 1e-9
+    # A converged run's own bounds collapse onto its gain.
+    assert optimum.gain <= optimum.upper_bound <= optimum.gain + 1e-8
+    # A sign-only run stops on a proven sign, from the same strategy, with
+    # bounds that still bracket the optimum and the same sign decision.
+    for tolerance in (1e-9, 1e-3):
+        stopped = policy_iteration(
+            mdp, weights, tolerance=tolerance, initial_strategy=strategy, sign_only=True
+        )
+        assert stopped.gain <= optimum.gain + 1e-9
+        assert optimum.gain <= stopped.upper_bound + 1e-9
+        if not stopped.converged:
+            assert stopped.gain >= tolerance or stopped.upper_bound <= -tolerance
+            assert (stopped.gain < 0.0) == (optimum.gain < 0.0)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=mdps_with_strategies(), beta=st.floats(min_value=0.0, max_value=1.0))
+def test_reused_evaluation_replaces_the_first_solve(case, beta):
+    base, base_strategy = case
+    mdp = _with_restart(base)
+    strategy = Strategy(mdp, base_strategy.rows)
+    weights = _beta_weights(beta)
+    evaluation = induced_markov_chain(mdp, strategy).gain_and_bias(
+        reference_state=mdp.initial_state
+    )
+    fresh = policy_iteration(mdp, weights, initial_strategy=strategy)
+    reused = policy_iteration(
+        mdp, weights, initial_strategy=strategy, initial_evaluation=evaluation
+    )
+    assert reused.iterations == fresh.iterations
+    assert np.array_equal(reused.strategy.rows, fresh.strategy.rows)
+    assert reused.gain == fresh.gain

@@ -9,6 +9,7 @@ from repro.exceptions import ConvergenceError, SolverError
 from repro.mdp import (
     SOLVER_BACKENDS,
     MDPBuilder,
+    MarkovChain,
     discounted_value_iteration,
     induced_markov_chain,
     policy_iteration,
@@ -151,6 +152,30 @@ class TestPolicyIteration:
         with pytest.raises(ConvergenceError):
             policy_iteration(cycle_mdp(), [1.0], max_iterations=0)
 
+    def test_reused_evaluation_skips_the_poisson_solve(self, monkeypatch):
+        mdp = race_mdp()
+        previous = policy_iteration(mdp, beta_reward_weights(0.5))
+        calls = []
+        solve = MarkovChain.gain_and_bias
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(MarkovChain, "gain_and_bias", counted)
+        # The optimum at beta = 0.5 is still optimal at 0.55: one round, no solve.
+        reused = policy_iteration(
+            mdp,
+            beta_reward_weights(0.55),
+            initial_strategy=previous.strategy,
+            initial_evaluation=previous.evaluation,
+        )
+        assert (reused.iterations, len(calls)) == (1, 0)
+        assert reused.gain == pytest.approx(race_gain(0.55), abs=1e-12)
+        fresh = policy_iteration(mdp, beta_reward_weights(0.55), initial_strategy=previous.strategy)
+        assert len(calls) == 1
+        assert fresh.gain == pytest.approx(reused.gain, abs=1e-15)
+
 
 class TestLinearProgram:
     @pytest.mark.parametrize("mdp, expected", ALL_TEST_MDPS)
@@ -235,6 +260,17 @@ class TestProbeContract:
         expected = race_gain(beta)
         assert solution.gain == pytest.approx(expected, abs=1e-6)
         assert (solution.gain < 0.0) == (expected < 0.0)
+
+    @pytest.mark.parametrize("solver", SOLVER_BACKENDS)
+    @pytest.mark.parametrize("beta", [0.0, 0.2, 0.5, 0.6, 0.7, 0.9, 1.0])
+    def test_sign_only_solve_proves_the_closed_form_sign(self, beta, solver):
+        weights = beta_reward_weights(beta)
+        full = solve_mean_payoff(race_mdp(), weights, solver=solver)
+        quick = solve_mean_payoff(race_mdp(), weights, solver=solver, sign_only=True)
+        expected = race_gain(beta)
+        assert (quick.gain < 0.0) == (expected < 0.0)
+        assert quick.lower_bound - 1e-9 <= expected <= quick.upper_bound + 1e-9
+        assert quick.iterations <= full.iterations
 
     @pytest.mark.parametrize("solver", SOLVER_BACKENDS)
     def test_repeated_solves_are_bit_identical(self, solver):
